@@ -7,8 +7,24 @@ which is exactly the adversarial weighting of
 importance weight ``clip(n * q_i, w_min, w_max)``; with ``beta -> 0`` the
 distribution is uniform and every weight is 1, recovering plain SGD.
 
+Draws come from a two-level sum tree kept in log space, the proportional
+sampler of Prioritized Experience Replay (Schaul et al., arXiv:1511.05952).
+The leaves ``beta * stale`` are cut into blocks of :func:`_block_size` leaves.
+Each block caches its maximum leaf, the sum of its leaves' ``exp`` relative
+to that maximum, and its normalised within-block CDF, offset by the block
+number so that all blocks share one flat sorted array.  On top sits the
+cumulative block mass, relative to the global maximum.  A draw takes two
+uniforms per index: one ``searchsorted`` over the block masses picks the
+blocks and one over the flat CDF picks the leaves.  An update recomputes the
+touched blocks and the block masses.  With blocks of ``b`` leaves, a step of
+``B`` draws and ``B`` updates costs ``O(B b + n / b)``, which is
+``O(sqrt(B n))`` at the best ``b``, instead of the ``O(n)`` of rebuilding the
+softmax.  Every cache is recomputed from the stale losses, never adjusted by
+deltas, so it is a pure function of them and a restored sampler continues the
+exact draw stream.
+
 A sampler is a single-writer object: one training loop owns it and serializes
-``update_loss``/``draw`` calls.  ``distribution()`` is a read-only snapshot.
+``update_losses``/``draw`` calls.  ``distribution()`` is a read-only snapshot.
 """
 
 from __future__ import annotations
@@ -21,19 +37,6 @@ import numpy as np
 from .objectives import optimal_weights
 
 __all__ = ["SamplerConfig", "HardnessWeightedSampler", "UniformReplacementSampler"]
-
-
-def _inverse_cdf_draw(rng: np.random.Generator, q: np.ndarray, batch_size: int) -> np.ndarray:
-    """Map ``batch_size`` uniforms through the cumulative sum of ``q``.
-
-    Shared by every sampler so that two samplers holding bit-identical
-    distributions and RNG states emit bit-identical index streams.
-    """
-    cdf = np.cumsum(q)
-    u = rng.random(batch_size)
-    indices = np.searchsorted(cdf, u, side="right")
-    np.clip(indices, 0, q.size - 1, out=indices)
-    return indices
 
 
 @dataclass(frozen=True)
@@ -53,41 +56,100 @@ class SamplerConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.beta) and self.beta > 0):
             raise ValueError(f"beta must be finite and > 0, got {self.beta}")
-        if not (0.0 < self.w_min <= self.w_max):
+        if not (0.0 < self.w_min <= self.w_max and math.isfinite(self.w_max)):
             raise ValueError(
-                f"clipping bounds must satisfy 0 < w_min <= w_max, got [{self.w_min}, {self.w_max}]"
+                f"clipping bounds must be finite and satisfy 0 < w_min <= w_max, "
+                f"got [{self.w_min}, {self.w_max}]"
             )
         if not math.isfinite(self.init_loss):
             raise ValueError("init_loss must be finite")
 
 
+def _block_size(n: int) -> int:
+    """Leaves per block of the sum tree for ``n`` samples.
+
+    A step of ``B`` draws costs about ``B * b`` leaf operations plus
+    ``n / b`` block-mass operations, so the best ``b`` is near
+    ``sqrt(n / B)``; the rule takes ``B = 32``, the usual batch size.  Below
+    about 10k samples fixed per-call costs dominate and 16 is as fast as any.
+    """
+    return max(16, math.isqrt(n // 32))
+
+
+def _floored_exp(x: np.ndarray) -> None:
+    """In-place ``exp(max(x, -700))`` of log masses relative to a maximum.
+
+    numpy takes a slow path, up to tens of times slower, for ``exp`` of
+    arguments whose result is subnormal or zero, and with beta = 100 most
+    leaves sit that far below their maximum.  e**-700 is about 1e-304, so
+    the floor moves no leaf's sampling probability by more than that, and it
+    leaves every block and global mass sum (each at least 1) unchanged.
+    """
+    np.maximum(x, -700.0, out=x)
+    np.exp(x, out=x)
+
+
 class HardnessWeightedSampler:
     """Stale per-sample losses plus a deterministic draw stream.
 
-    Draws use inverse-CDF sampling: ``u ~ U[0,1)`` mapped through the
-    cumulative sum of the sampling distribution.  Identical (seed, config,
-    update sequence) therefore reproduce identical draw sequences.
+    Draws use inverse-CDF sampling through the sum tree: one ``u ~ U[0,1)``
+    picks a block by its cumulative mass, and a second picks a leaf by the
+    block's own CDF.  Identical (seed, config, update sequence)
+    therefore reproduce identical draw sequences.
     """
 
     def __init__(self, n: int, config: SamplerConfig | None = None, seed: int = 0):
         if n < 1:
             raise ValueError(f"dataset size must be >= 1, got {n}")
         self.config = config if config is not None else SamplerConfig()
-        self._stale = np.full(n, float(self.config.init_loss))
+        self._block = _block_size(n)
+        n_blocks = -(-n // self._block)
+        # Padding leaves past n hold -inf.  They follow their block's maximum,
+        # so the running sums they join are at least 1 and their floored
+        # mass of e**-700 rounds away: they add nothing to any sum.
+        self._stale = np.full(n_blocks * self._block, -np.inf)
+        self._stale[:n] = float(self.config.init_loss)
         self._counts = np.zeros(n, dtype=np.int64)
         self._rng = np.random.default_rng(seed)
+        self._cdf = np.empty_like(self._stale)  # block k's leaf CDF, plus k
+        self._stale_rows = self._stale.reshape(n_blocks, self._block)
+        self._cdf_rows = self._cdf.reshape(n_blocks, self._block)
+        self._block_max = np.empty(n_blocks)
+        self._block_sum = np.empty(n_blocks)  # sum of exp(leaf - block max)
+        self._cum_mass = np.empty(n_blocks)  # relative to the global max
+        self._top = 0.0  # global max leaf
+        self._refresh(np.arange(n_blocks))
 
     @property
     def n(self) -> int:
-        return self._stale.size
+        return self._counts.size
 
     @property
     def stale_losses(self) -> np.ndarray:
-        return self._stale.copy()
+        return self._stale[: self.n].copy()
 
     @property
     def draw_counts(self) -> np.ndarray:
         return self._counts.copy()
+
+    def _refresh(self, blocks: np.ndarray) -> None:
+        """Recompute the caches of ``blocks`` and the block masses."""
+        leaves = self.config.beta * self._stale_rows[blocks]
+        top = np.maximum.reduce(leaves, axis=1)
+        cdf = leaves - top[:, None]
+        _floored_exp(cdf)
+        np.add.accumulate(cdf, axis=1, out=cdf)
+        total = cdf[:, -1].copy()
+        cdf /= total[:, None]
+        cdf += blocks[:, None]
+        self._cdf_rows[blocks] = cdf
+        self._block_max[blocks] = top
+        self._block_sum[blocks] = total
+        self._top = np.maximum.reduce(self._block_max)
+        mass = self._block_max - self._top
+        _floored_exp(mass)
+        mass *= self._block_sum
+        np.add.accumulate(mass, out=self._cum_mass)
 
     def update_loss(self, index: int, loss: float) -> None:
         """Record the freshly observed loss of one sample (overwrite)."""
@@ -95,7 +157,7 @@ class HardnessWeightedSampler:
             raise ValueError(f"index {index} out of range for {self.n} samples")
         if not math.isfinite(loss):
             raise ValueError(f"loss must be finite, got {loss}")
-        self._stale[index] = loss
+        self.update_losses([index], [loss])
 
     def update_losses(self, indices, losses) -> None:
         """Vectorized overwrite; duplicate indices keep the last value."""
@@ -105,13 +167,15 @@ class HardnessWeightedSampler:
             raise ValueError("indices and losses must have the same shape")
         if idx.size and (idx.min() < 0 or idx.max() >= self.n):
             raise ValueError("index out of range")
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ValueError("losses must be finite")
         self._stale[idx] = vals
+        # A block touched twice is recomputed twice, to the same values.
+        self._refresh((idx // self._block).ravel())
 
     def distribution(self) -> np.ndarray:
         """Current sampling probabilities: ``softmax(beta * stale_losses)``."""
-        return optimal_weights(self._stale, self.config.beta)
+        return optimal_weights(self._stale[: self.n], self.config.beta)
 
     def draw(self, batch_size: int) -> tuple[np.ndarray, np.ndarray]:
         """Draw ``batch_size`` indices i.i.d. with replacement.
@@ -122,9 +186,24 @@ class HardnessWeightedSampler:
         """
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        q = self.distribution()
-        indices = _inverse_cdf_draw(self._rng, q, batch_size)
-        weights = np.clip(self.n * q[indices], self.config.w_min, self.config.w_max)
+        u = self._rng.random(2 * batch_size)
+        t, within = u[:batch_size], u[batch_size:]
+        total = self._cum_mass[-1]
+        t *= total  # u < 1 keeps t < total, so every t finds a block
+        blocks = self._cum_mass.searchsorted(t, side="right")
+        within += blocks
+        # Rounding can carry b + within up to the next block's offset, with
+        # probability about b * 2**-53 in block b; that block's first leaf
+        # with mass is then drawn (the last leaf, past the last block).
+        indices = self._cdf.searchsorted(within, side="right")
+        np.minimum(indices, self.n - 1, out=indices)
+        # n * exp(leaf - top) / total is exactly 1 when all leaves are equal.
+        weights = self.config.beta * self._stale[indices]
+        weights -= self._top
+        np.exp(weights, out=weights)
+        weights *= self.n / total
+        np.maximum(weights, self.config.w_min, out=weights)
+        np.minimum(weights, self.config.w_max, out=weights)
         np.add.at(self._counts, indices, 1)
         return indices, weights
 
@@ -137,7 +216,7 @@ class HardnessWeightedSampler:
                 "w_max": self.config.w_max,
                 "init_loss": self.config.init_loss,
             },
-            "stale_losses": self._stale.tolist(),
+            "stale_losses": self.stale_losses.tolist(),
             "draw_counts": self._counts.tolist(),
             "rng_state": self._rng.bit_generator.state,
         }
@@ -145,34 +224,36 @@ class HardnessWeightedSampler:
     @classmethod
     def from_state_dict(cls, state: dict) -> "HardnessWeightedSampler":
         cfg = SamplerConfig(**state["config"])
-        sampler = cls(len(state["stale_losses"]), cfg, seed=0)
-        sampler._stale = np.asarray(state["stale_losses"], dtype=float)
-        sampler._counts = np.asarray(state["draw_counts"], dtype=np.int64)
+        stale = np.asarray(state["stale_losses"], dtype=float)
+        counts = np.asarray(state["draw_counts"], dtype=np.int64)
+        if stale.ndim != 1 or stale.shape != counts.shape:
+            raise ValueError(
+                f"stale_losses and draw_counts must be 1-d of one length, "
+                f"got shapes {stale.shape} and {counts.shape}"
+            )
+        if not np.all(np.isfinite(stale)):
+            raise ValueError("stale_losses must be finite")
+        if np.any(counts < 0):
+            raise ValueError("draw_counts must be non-negative")
+        sampler = cls(stale.size, cfg, seed=0)
+        sampler._stale[: stale.size] = stale
+        sampler._counts[:] = counts
+        sampler._refresh(np.arange(sampler._block_max.size))
         sampler._rng.bit_generator.state = state["rng_state"]
         return sampler
 
 
-class UniformReplacementSampler:
+class UniformReplacementSampler(HardnessWeightedSampler):
     """Uniform-with-replacement reference sharing the draw contract above.
 
-    Holds the exact distribution 1/n and emits unit importance weights.  In
-    the constant-stale state a :class:`HardnessWeightedSampler` seeded the
-    same way produces a bit-identical index stream, which is the degenerate
-    plain-SGD limit of hardness weighting.
+    The constant-leaf case of hardness weighting: nothing in the package
+    updates its stale losses, so its distribution stays exactly 1/n, and it
+    emits unit importance weights.  A :class:`HardnessWeightedSampler`
+    seeded the same way produces a bit-identical index stream until its
+    first loss update, which is the degenerate plain-SGD limit of hardness
+    weighting.
     """
 
-    def __init__(self, n: int, seed: int = 0):
-        if n < 1:
-            raise ValueError(f"dataset size must be >= 1, got {n}")
-        self._q = np.full(n, 1.0) / n
-        self._rng = np.random.default_rng(seed)
-
-    @property
-    def n(self) -> int:
-        return self._q.size
-
     def draw(self, batch_size: int) -> tuple[np.ndarray, np.ndarray]:
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        indices = _inverse_cdf_draw(self._rng, self._q, batch_size)
+        indices, _ = super().draw(batch_size)
         return indices, np.ones(batch_size)

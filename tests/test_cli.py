@@ -164,6 +164,14 @@ class TestTrain:
         assert main(["train", "--config", str(config), "--arm", "erm"]) == 2
         assert "seeds" in capsys.readouterr().err
 
+    def test_infinite_w_max_rejected(self, tmp_path, capsys):
+        dro = dict(BASE_CONFIG["train"]["dro"], sampler={"w_max": float("inf")})
+        train = dict(BASE_CONFIG["train"], dro=dro)
+        config = _write_config(tmp_path, tmp_path / "o", train=train)
+        assert main(["generate", "--config", str(config)]) == 0
+        assert main(["train", "--config", str(config), "--arm", "dro"]) == 2
+        assert "w_max" in capsys.readouterr().err
+
     def test_bad_hidden_rejected(self, tmp_path, capsys):
         config = _write_config(tmp_path, tmp_path / "o", hidden=[])
         assert main(["generate", "--config", str(config)]) == 0

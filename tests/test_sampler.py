@@ -2,9 +2,11 @@
 
 Covers the closed-form sampling distribution, the Monte-Carlo law of the
 draw stream, importance-weight clipping, the uniform (plain-SGD) limit,
-determinism, and state serialization round-trips.
+determinism, state serialization round-trips, and properties of the sum tree
+behind the draws at sizes that fill blocks partly and wholly.
 """
 
+import json
 import math
 
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 
 from drotrain.objectives import optimal_weights
 from drotrain.sampler import HardnessWeightedSampler, SamplerConfig, UniformReplacementSampler
+from oracles import lse_highprec
 
 
 class TestConfigValidation:
@@ -30,6 +33,11 @@ class TestConfigValidation:
             SamplerConfig(w_min=0.0)
         with pytest.raises(ValueError):
             SamplerConfig(w_min=2.0, w_max=1.0)
+
+    def test_non_finite_w_max(self):
+        for w_max in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                SamplerConfig(w_max=w_max)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
@@ -73,6 +81,22 @@ class TestStaleLossState:
         s = HardnessWeightedSampler(3)
         with pytest.raises(ValueError):
             s.update_loss(0, math.inf)
+
+    def test_point_updates_draw_like_batch_update(self):
+        """update_loss one index at a time leaves the sampler drawing exactly
+        as one update_losses call with the same entries does."""
+        rng = np.random.default_rng(18)
+        idx = rng.integers(0, 40, size=25)
+        vals = rng.uniform(size=25)
+        a = HardnessWeightedSampler(40, SamplerConfig(beta=30.0), seed=19)
+        b = HardnessWeightedSampler(40, SamplerConfig(beta=30.0), seed=19)
+        for i, v in zip(idx, vals):
+            a.update_loss(int(i), float(v))
+        b.update_losses(idx, vals)
+        ia, wa = a.draw(64)
+        ib, wb = b.draw(64)
+        np.testing.assert_array_equal(ia, ib)
+        np.testing.assert_array_equal(wa, wb)
 
 
 class TestSamplingDistribution:
@@ -214,14 +238,88 @@ class TestDeterminism:
             np.testing.assert_array_equal(wa, wb)
 
     def test_state_dict_json_safe(self):
-        import json
-
         s = HardnessWeightedSampler(5, seed=16)
         s.draw(10)
         restored = HardnessWeightedSampler.from_state_dict(json.loads(json.dumps(s.state_dict())))
         ia, _ = s.draw(8)
         ib, _ = restored.draw(8)
         np.testing.assert_array_equal(ia, ib)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("draw_counts", [0, 1, 2]),
+            ("stale_losses", [0.1, math.nan, 0.3, 0.4]),
+            ("stale_losses", [0.1, 0.2, math.inf, 0.4]),
+            ("draw_counts", [0, -1, 2, 3]),
+        ],
+    )
+    def test_corrupt_state_rejected(self, field, value):
+        """Mismatched lengths, non-finite stale losses and negative counts
+        are refused rather than built into the sampler."""
+        state = HardnessWeightedSampler(4, seed=20).state_dict()
+        state[field] = value
+        with pytest.raises(ValueError):
+            HardnessWeightedSampler.from_state_dict(state)
+
+
+# Sizes below one block, at one block, one past it, and many blocks with a
+# partial last one (blocks hold 16 leaves at these sizes).
+TREE_SIZES = (1, 2, 15, 16, 17, 1000, 4097)
+
+
+def _churned_sampler(n: int, seed: int) -> HardnessWeightedSampler:
+    """A sampler after 300 random batch updates, with draws in between.
+
+    Batches repeat indices (always for small n), so duplicate updates keep
+    the last value; losses span a factor e**25 of sampling mass.
+    """
+    rng = np.random.default_rng([21, n])
+    s = HardnessWeightedSampler(n, SamplerConfig(beta=100.0, w_min=1e-6, w_max=1e6), seed=seed)
+    for _ in range(300):
+        idx = rng.integers(0, n, size=8)
+        s.update_losses(idx, rng.uniform(0.0, 0.25, size=8))
+        s.draw(4)
+    return s
+
+
+class TestSumTreeProperties:
+    @pytest.mark.parametrize("n", TREE_SIZES)
+    def test_weights_match_high_precision_law(self, n):
+        """Every drawn weight equals clip(n * q_i) with q_i from 50-digit
+        log-sum-exp arithmetic, to 1e-12 relative."""
+        s = _churned_sampler(n, seed=22)
+        stale = s.stale_losses
+        beta = s.config.beta
+        lse = lse_highprec(stale, beta)
+        expected = np.clip(n * np.exp(beta * (stale - lse)), s.config.w_min, s.config.w_max)
+        idx, w = s.draw(4000)
+        np.testing.assert_allclose(w, expected[idx], rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("n", TREE_SIZES)
+    def test_draw_law_matches_distribution(self, n):
+        s = _churned_sampler(n, seed=23)
+        q = s.distribution()
+        idx, _ = s.draw(200_000)
+        freq = np.bincount(idx, minlength=n) / 200_000
+        assert np.max(np.abs(freq - q)) < 0.01
+
+    @pytest.mark.parametrize("n", TREE_SIZES)
+    def test_midstream_roundtrip_continues_stream(self, n):
+        """A sampler rebuilt from a JSON snapshot taken mid-stream makes the
+        same draws and weights as the original under the same updates."""
+        a = _churned_sampler(n, seed=24)
+        b = HardnessWeightedSampler.from_state_dict(json.loads(json.dumps(a.state_dict())))
+        rng = np.random.default_rng([25, n])
+        for _ in range(20):
+            ia, wa = a.draw(16)
+            ib, wb = b.draw(16)
+            np.testing.assert_array_equal(ia, ib)
+            np.testing.assert_array_equal(wa, wb)
+            fresh = rng.uniform(0.0, 0.25, size=16)
+            a.update_losses(ia, fresh)
+            b.update_losses(ib, fresh)
+        np.testing.assert_array_equal(a.draw_counts, b.draw_counts)
 
 
 class TestUniformReference:
