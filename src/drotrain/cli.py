@@ -142,6 +142,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     doc = _load_json(args.config)
     _check_keys(doc, TOP_LEVEL_KEYS, "config")
     out = _out_dir(args, doc)
@@ -243,7 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--config", required=True, help="experiment config JSON")
     train.add_argument("--arm", required=True, choices=["erm", "dro"], help="training regime")
     train.add_argument("--out", help="output directory (overrides config 'out')")
-    train.add_argument("--jobs", type=int, default=1, help="parallel fold workers")
+    train.add_argument(
+        "--jobs", type=int, default=1, help="threads to split each seed's lockstep fold stack across"
+    )
     train.set_defaults(func=cmd_train)
 
     rep = sub.add_parser("report", help="render the percentile report for a score file")

@@ -3,6 +3,13 @@
 Everything here is a pure function of explicit parameters, so forward and
 gradient evaluation are safe to run concurrently; updates are plain
 value-producing steps owned by the caller.
+
+:func:`weighted_loss_gradient` and :func:`sgd_step` also take a stack of M
+models: weights ``(M, out, in)``, biases ``(M, out)``, and batches ``(M, B,
+in)``, one per model.  A stacked ``matmul`` runs the same gemm on each slice
+as the 2-D call does, and every other operation is elementwise or reduces
+within one model, so each model's result is bit-identical to calling it
+alone.
 """
 
 from __future__ import annotations
@@ -49,7 +56,8 @@ class MLPParams:
     """Per-layer weight matrices (out x in) and bias vectors.
 
     Hidden layers use ReLU; the last layer emits logits.  The same container
-    doubles as the gradient structure.
+    doubles as the gradient structure, and holds a stack of models when
+    every array carries a leading model axis.
     """
 
     weights: list = field(default_factory=list)
@@ -58,7 +66,7 @@ class MLPParams:
     @property
     def dims(self) -> tuple:
         """Layer sizes (input, hidden..., output)."""
-        return (self.weights[0].shape[1],) + tuple(w.shape[0] for w in self.weights)
+        return (self.weights[0].shape[-1],) + tuple(w.shape[-2] for w in self.weights)
 
     def copy(self) -> "MLPParams":
         return MLPParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
@@ -148,12 +156,17 @@ def weighted_loss_gradient(params: MLPParams, X, y, sample_weights) -> tuple:
 
     The gradient is ``(1/B) * sum_j w_j * dL_j/dtheta``; the returned losses
     are unweighted.  Samples whose true-class probability sits at the clamp
-    floor contribute zero gradient (their loss is saturated).
+    floor contribute zero gradient (their loss is saturated).  For a stack
+    of M models, ``X`` is ``(M, B, in)``, ``y`` and the weights ``(M, B)``,
+    and losses and gradient are stacked the same way.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=np.int64)
     w = np.asarray(sample_weights, dtype=float)
-    if X.ndim != 2 or X.shape[0] != y.size or w.size != y.size:
+    stack = params.weights[0].shape[:-2]  # () for one model, (M,) for a stack
+    if X.ndim != len(stack) + 2 or X.shape[: len(stack)] != stack:
+        raise ValueError(f"batch shape {X.shape} does not match a stack of shape {stack}")
+    if X.shape[:-1] != y.shape or w.shape != y.shape:
         raise ValueError("X, y, and sample_weights must agree on the batch size")
 
     # Forward, caching pre-activations for the backward pass.
@@ -161,26 +174,26 @@ def weighted_loss_gradient(params: MLPParams, X, y, sample_weights) -> tuple:
     zs = []
     A = X
     for i, (W, b) in enumerate(zip(params.weights, params.biases)):
-        Z = A @ W.T + b
+        Z = A @ np.swapaxes(W, -1, -2) + b[..., None, :]
         zs.append(Z)
         A = np.maximum(Z, 0.0) if i < len(params.weights) - 1 else Z
         acts.append(A)
 
     logp = _log_softmax(zs[-1])
-    rows = np.arange(y.size)
-    raw = -logp[rows, y]
+    true = (*np.indices(y.shape, sparse=True), y)  # each sample's true-class entry
+    raw = -logp[true]
     losses = np.minimum(raw, MAX_LOSS)
 
     delta = np.exp(logp)
-    delta[rows, y] -= 1.0
+    delta[true] -= 1.0
     delta[raw > MAX_LOSS] = 0.0
-    delta *= (w / y.size)[:, np.newaxis]
+    delta *= (w / y.shape[-1])[..., np.newaxis]
 
     g_weights = [None] * len(params.weights)
     g_biases = [None] * len(params.biases)
     for i in range(len(params.weights) - 1, -1, -1):
-        g_weights[i] = delta.T @ acts[i]
-        g_biases[i] = delta.sum(axis=0)
+        g_weights[i] = np.swapaxes(delta, -1, -2) @ acts[i]
+        g_biases[i] = delta.sum(axis=-2)
         if i > 0:
             delta = (delta @ params.weights[i]) * (zs[i - 1] > 0)
     return losses, MLPParams(g_weights, g_biases)

@@ -29,6 +29,7 @@ A sampler is a single-writer object: one training loop owns it and serializes
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -96,60 +97,109 @@ class HardnessWeightedSampler:
     picks a block by its cumulative mass, and a second picks a leaf by the
     block's own CDF.  Identical (seed, config, update sequence)
     therefore reproduce identical draw sequences.
+
+    :meth:`stacked` builds M trees of ``n`` leaves each, with one RNG stream
+    per tree, held along a leading axis: ``draw`` then returns ``(M, B)``
+    arrays, ``update_losses`` takes them, and the block and block-mass work
+    runs once for the whole stack.  A sampler is the stack of one tree, so
+    each tree of a stack draws exactly as a sampler built alone from its
+    seed and fed the same updates.  ``n`` and ``draw_counts`` cover every
+    (tree, case) pair; :meth:`unstack` splits a stack into samplers that
+    view its arrays.
     """
 
     def __init__(self, n: int, config: SamplerConfig | None = None, seed: int = 0):
+        self._setup(n, config, [seed], single=True)
+
+    @classmethod
+    def stacked(cls, n: int, config: SamplerConfig | None, seeds) -> "HardnessWeightedSampler":
+        """One tree of ``n`` leaves per seed, advanced together."""
+        sampler = cls.__new__(cls)
+        sampler._setup(n, config, list(seeds), single=False)
+        return sampler
+
+    def _setup(self, n: int, config: SamplerConfig | None, seeds: list, single: bool) -> None:
         if n < 1:
             raise ValueError(f"dataset size must be >= 1, got {n}")
+        if not seeds:
+            raise ValueError("a sampler stack needs at least one seed")
         self.config = config if config is not None else SamplerConfig()
+        self._single = single
+        self._rngs = [np.random.default_rng(seed) for seed in seeds]
         self._block = _block_size(n)
-        n_blocks = -(-n // self._block)
+        m, n_blocks = len(seeds), -(-n // self._block)
         # Padding leaves past n hold -inf.  They follow their block's maximum,
         # so the running sums they join are at least 1 and their floored
         # mass of e**-700 rounds away: they add nothing to any sum.
-        self._stale = np.full(n_blocks * self._block, -np.inf)
-        self._stale[:n] = float(self.config.init_loss)
-        self._counts = np.zeros(n, dtype=np.int64)
-        self._rng = np.random.default_rng(seed)
+        self._stale = np.full((m, n_blocks * self._block), -np.inf)
+        self._stale[:, :n] = float(self.config.init_loss)
+        self._counts = np.zeros((m, n), dtype=np.int64)
         self._cdf = np.empty_like(self._stale)  # block k's leaf CDF, plus k
-        self._stale_rows = self._stale.reshape(n_blocks, self._block)
-        self._cdf_rows = self._cdf.reshape(n_blocks, self._block)
-        self._block_max = np.empty(n_blocks)
-        self._block_sum = np.empty(n_blocks)  # sum of exp(leaf - block max)
-        self._cum_mass = np.empty(n_blocks)  # relative to the global max
-        self._top = 0.0  # global max leaf
-        self._refresh(np.arange(n_blocks))
+        self._block_max = np.empty((m, n_blocks))
+        self._block_sum = np.empty((m, n_blocks))  # sum of exp(leaf - block max)
+        self._cum_mass = np.empty((m, n_blocks))  # relative to the tree's global max
+        self._top = np.empty(m)  # each tree's global max leaf
+        self._views()
+        self._refresh_all()
+
+    def _views(self) -> None:
+        """Each tree's leaves and CDF cut into blocks, and each tree's row number."""
+        m = len(self._rngs)
+        self._stale_rows = self._stale.reshape(m, -1, self._block)
+        self._cdf_rows = self._cdf.reshape(m, -1, self._block)
+        self._tree = np.arange(m)[:, None]
+
+    def unstack(self) -> list:
+        """One sampler per tree, each viewing (not copying) this stack's arrays."""
+        out = []
+        for k, rng in enumerate(self._rngs):
+            sampler = copy.copy(self)
+            sampler._single, sampler._rngs = True, [rng]
+            for name in ("_stale", "_counts", "_cdf", "_block_max", "_block_sum", "_cum_mass", "_top"):
+                setattr(sampler, name, getattr(self, name)[k : k + 1])
+            sampler._views()
+            out.append(sampler)
+        return out
+
+    def _squeeze(self, a: np.ndarray) -> np.ndarray:
+        """``a`` without its tree axis for a single sampler."""
+        return a[0] if self._single else a
 
     @property
     def n(self) -> int:
+        """Cases, summed over the trees of a stack."""
         return self._counts.size
 
     @property
     def stale_losses(self) -> np.ndarray:
-        return self._stale[: self.n].copy()
+        return self._squeeze(self._stale[:, : self._counts.shape[1]].copy())
 
     @property
     def draw_counts(self) -> np.ndarray:
-        return self._counts.copy()
+        return self._squeeze(self._counts.copy())
+
+    def _refresh_all(self) -> None:
+        n_blocks = self._block_max.shape[1]
+        self._refresh(np.broadcast_to(np.arange(n_blocks), self._block_max.shape))
 
     def _refresh(self, blocks: np.ndarray) -> None:
-        """Recompute the caches of ``blocks`` and the block masses."""
-        leaves = self.config.beta * self._stale_rows[blocks]
-        top = np.maximum.reduce(leaves, axis=1)
-        cdf = leaves - top[:, None]
+        """Recompute the caches of ``blocks`` (one row per tree) and the block masses."""
+        leaves = self.config.beta * self._stale_rows[self._tree, blocks]
+        top = np.maximum.reduce(leaves, axis=2)
+        cdf = leaves - top[..., None]
         _floored_exp(cdf)
-        np.add.accumulate(cdf, axis=1, out=cdf)
-        total = cdf[:, -1].copy()
-        cdf /= total[:, None]
-        cdf += blocks[:, None]
-        self._cdf_rows[blocks] = cdf
-        self._block_max[blocks] = top
-        self._block_sum[blocks] = total
-        self._top = np.maximum.reduce(self._block_max)
-        mass = self._block_max - self._top
+        np.add.accumulate(cdf, axis=2, out=cdf)
+        total = cdf[..., -1].copy()
+        cdf /= total[..., None]
+        cdf += blocks[..., None]
+        self._cdf_rows[self._tree, blocks] = cdf
+        self._block_max[self._tree, blocks] = top
+        self._block_sum[self._tree, blocks] = total
+        np.maximum.reduce(self._block_max, axis=1, out=self._top)
+        mass = self._block_max - self._top[:, None]
         _floored_exp(mass)
         mass *= self._block_sum
-        np.add.accumulate(mass, out=self._cum_mass)
+        np.add.accumulate(mass, axis=1, out=self._cum_mass)
 
     def update_loss(self, index: int, loss: float) -> None:
         """Record the freshly observed loss of one sample (overwrite)."""
@@ -160,22 +210,33 @@ class HardnessWeightedSampler:
         self.update_losses([index], [loss])
 
     def update_losses(self, indices, losses) -> None:
-        """Vectorized overwrite; duplicate indices keep the last value."""
-        idx = np.asarray(indices, dtype=np.int64)
+        """Vectorized overwrite; duplicate indices keep the last value.
+
+        A stack takes ``(M, B)`` indices and losses, row k for tree k.
+        """
+        idx = np.asarray(indices)
         vals = np.asarray(losses, dtype=float)
+        if idx.size and idx.dtype.kind not in "iu":
+            raise ValueError(f"indices must be integers, got dtype {idx.dtype}")
         if idx.shape != vals.shape:
             raise ValueError("indices and losses must have the same shape")
-        if idx.size and (idx.min() < 0 or idx.max() >= self.n):
+        if self._single:
+            idx, vals = idx.reshape(1, -1), vals.reshape(1, -1)
+        elif idx.ndim != 2 or idx.shape[0] != len(self._rngs):
+            raise ValueError(f"a stack of {len(self._rngs)} trees takes one row of indices per tree")
+        idx = idx.astype(np.int64, copy=False)
+        if idx.size and (idx.min() < 0 or idx.max() >= self._counts.shape[1]):
             raise ValueError("index out of range")
         if not np.isfinite(vals).all():
             raise ValueError("losses must be finite")
-        self._stale[idx] = vals
+        self._stale[self._tree, idx] = vals
         # A block touched twice is recomputed twice, to the same values.
-        self._refresh((idx // self._block).ravel())
+        self._refresh(idx // self._block)
 
     def distribution(self) -> np.ndarray:
         """Current sampling probabilities: ``softmax(beta * stale_losses)``."""
-        return optimal_weights(self._stale[: self.n], self.config.beta)
+        stale = self._stale[:, : self._counts.shape[1]]
+        return self._squeeze(np.stack([optimal_weights(row, self.config.beta) for row in stale]))
 
     def draw(self, batch_size: int) -> tuple[np.ndarray, np.ndarray]:
         """Draw ``batch_size`` indices i.i.d. with replacement.
@@ -186,29 +247,34 @@ class HardnessWeightedSampler:
         """
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        u = self._rng.random(2 * batch_size)
-        t, within = u[:batch_size], u[batch_size:]
-        total = self._cum_mass[-1]
-        t *= total  # u < 1 keeps t < total, so every t finds a block
-        blocks = self._cum_mass.searchsorted(t, side="right")
-        within += blocks
-        # Rounding can carry b + within up to the next block's offset, with
-        # probability about b * 2**-53 in block b; that block's first leaf
-        # with mass is then drawn (the last leaf, past the last block).
-        indices = self._cdf.searchsorted(within, side="right")
-        np.minimum(indices, self.n - 1, out=indices)
+        n = self._counts.shape[1]
+        total = self._cum_mass[:, -1]
+        indices = np.empty((len(self._rngs), batch_size), dtype=np.intp)
+        for k, rng in enumerate(self._rngs):
+            u = rng.random(2 * batch_size)
+            t, within = u[:batch_size], u[batch_size:]
+            t *= total[k]  # u < 1 keeps t < total, so every t finds a block
+            blocks = self._cum_mass[k].searchsorted(t, side="right")
+            within += blocks
+            # Rounding can carry b + within up to the next block's offset, with
+            # probability about b * 2**-53 in block b; that block's first leaf
+            # with mass is then drawn (the last leaf, past the last block).
+            indices[k] = self._cdf[k].searchsorted(within, side="right")
+        np.minimum(indices, n - 1, out=indices)
         # n * exp(leaf - top) / total is exactly 1 when all leaves are equal.
-        weights = self.config.beta * self._stale[indices]
-        weights -= self._top
+        weights = self.config.beta * self._stale[self._tree, indices]
+        weights -= self._top[:, None]
         np.exp(weights, out=weights)
-        weights *= self.n / total
+        weights *= (n / total)[:, None]
         np.maximum(weights, self.config.w_min, out=weights)
         np.minimum(weights, self.config.w_max, out=weights)
-        np.add.at(self._counts, indices, 1)
-        return indices, weights
+        np.add.at(self._counts, (self._tree, indices), 1)
+        return self._squeeze(indices), self._squeeze(weights)
 
     def state_dict(self) -> dict:
         """JSON-serializable snapshot, inverse of :meth:`from_state_dict`."""
+        if not self._single:
+            raise ValueError("a stack has no state_dict; unstack() it into one sampler per tree")
         return {
             "config": {
                 "beta": self.config.beta,
@@ -217,8 +283,8 @@ class HardnessWeightedSampler:
                 "init_loss": self.config.init_loss,
             },
             "stale_losses": self.stale_losses.tolist(),
-            "draw_counts": self._counts.tolist(),
-            "rng_state": self._rng.bit_generator.state,
+            "draw_counts": self.draw_counts.tolist(),
+            "rng_state": self._rngs[0].bit_generator.state,
         }
 
     @classmethod
@@ -236,10 +302,10 @@ class HardnessWeightedSampler:
         if np.any(counts < 0):
             raise ValueError("draw_counts must be non-negative")
         sampler = cls(stale.size, cfg, seed=0)
-        sampler._stale[: stale.size] = stale
-        sampler._counts[:] = counts
-        sampler._refresh(np.arange(sampler._block_max.size))
-        sampler._rng.bit_generator.state = state["rng_state"]
+        sampler._stale[0, : stale.size] = stale
+        sampler._counts[0] = counts
+        sampler._refresh_all()
+        sampler._rngs[0].bit_generator.state = state["rng_state"]
         return sampler
 
 
@@ -256,4 +322,4 @@ class UniformReplacementSampler(HardnessWeightedSampler):
 
     def draw(self, batch_size: int) -> tuple[np.ndarray, np.ndarray]:
         indices, _ = super().draw(batch_size)
-        return indices, np.ones(batch_size)
+        return indices, np.ones(indices.shape)

@@ -9,6 +9,17 @@ clipped importance weight, and feeds the freshly observed raw losses back
 into the sampler.  Everything is deterministic given the config seed, and a
 checkpoint restores mid-run state exactly: running a+b epochs equals
 running a, saving, loading, and running b.
+
+Cross-validation trains the folds of one seed in lockstep, as a stack: the
+parameters carry a leading fold axis, each step makes one gradient call and
+one SGD call for the whole stack, and the robust regime's sampler holds one
+sum tree per fold along the same axis.  Each fold keeps its own RNG stream
+and gathers its batches from the full feature matrix through its own
+training rows, and every stacked operation acts on each fold exactly as the
+unstacked one does, so a fold's trajectory, checkpoint and scores are
+bit-identical to training it alone.  Folds of one training size share their
+step count and sampler layout and form one stack; ``jobs > 1`` cuts the
+stacks into smaller ones that train concurrently, with the same bytes.
 """
 
 from __future__ import annotations
@@ -32,7 +43,7 @@ from .mlp import (
     weighted_loss_gradient,
 )
 from .sampler import HardnessWeightedSampler, SamplerConfig, UniformReplacementSampler
-from .scores import ScoreRow, ScoreTable
+from .scores import ScoreRow, ScoreTable, atomic_write
 
 __all__ = [
     "SCORE_REGION",
@@ -41,6 +52,7 @@ __all__ = [
     "TrainState",
     "CrossValResult",
     "init_state",
+    "init_stack",
     "run_epochs",
     "train_erm",
     "train_dro",
@@ -128,13 +140,33 @@ class TrainConfig:
 
 @dataclass
 class TrainState:
-    """Mid-run snapshot: parameters plus whichever RNG the regime uses."""
+    """Mid-run snapshot: parameters plus whichever RNG the regime uses.
+
+    The state of a stack of M models (see :func:`init_stack`) holds stacked
+    parameters and either a list of M generators or a stacked sampler.
+    """
 
     params: MLPParams
     epoch: int
     mode: str
     rng: np.random.Generator = None
     sampler: HardnessWeightedSampler = None
+
+    def unstack(self) -> list:
+        """One state per model of a stack, viewing (not copying) its arrays."""
+        m = self.params.weights[0].shape[0]
+        rngs = self.rng if self.rng is not None else [None] * m
+        samplers = self.sampler.unstack() if self.sampler is not None else [None] * m
+        return [
+            TrainState(
+                MLPParams([w[k] for w in self.params.weights], [b[k] for b in self.params.biases]),
+                self.epoch,
+                self.mode,
+                rngs[k],
+                samplers[k],
+            )
+            for k in range(m)
+        ]
 
 
 def _check_dims(dataset: Dataset, dims) -> tuple:
@@ -146,38 +178,66 @@ def _check_dims(dataset: Dataset, dims) -> tuple:
     return dims
 
 
+def init_stack(n: int, dims, config: TrainConfig, seeds) -> TrainState:
+    """Fresh state for a stack of models on ``n`` cases each, one per seed.
+
+    Model k starts exactly as :func:`init_state` starts a run whose config
+    has seed ``seeds[k]``.
+    """
+    streams = [np.random.SeedSequence(seed).spawn(2) for seed in seeds]
+    models = [init_params(dims, init_ss) for init_ss, _ in streams]
+    params = MLPParams(
+        [np.stack(ws) for ws in zip(*(p.weights for p in models))],
+        [np.stack(bs) for bs in zip(*(p.biases for p in models))],
+    )
+    loops = [loop_ss for _, loop_ss in streams]
+    if config.mode == "dro":
+        return TrainState(params, 0, "dro", sampler=HardnessWeightedSampler.stacked(n, config.sampler, loops))
+    return TrainState(params, 0, "erm", rng=[np.random.default_rng(ss) for ss in loops])
+
+
 def init_state(n: int, dims, config: TrainConfig) -> TrainState:
     """Fresh state for a run: params and the regime RNG, both seed-derived."""
-    init_ss, loop_ss = np.random.SeedSequence(config.seed).spawn(2)
-    params = init_params(dims, init_ss)
-    if config.mode == "dro":
-        return TrainState(params, 0, "dro", sampler=HardnessWeightedSampler(n, config.sampler, seed=loop_ss))
-    return TrainState(params, 0, "erm", rng=np.random.default_rng(loop_ss))
+    return init_stack(n, dims, config, [config.seed]).unstack()[0]
 
 
-def run_epochs(state: TrainState, dataset: Dataset, config: TrainConfig, n_epochs: int) -> TrainState:
+def run_epochs(
+    state: TrainState, dataset: Dataset, config: TrainConfig, n_epochs: int, rows=None
+) -> TrainState:
     """Advance the run by ``n_epochs``; mutates and returns ``state``.
 
     An epoch is floor(n / batch_size) SGD steps in both regimes, so the two
-    see the same number of updates per epoch.
+    see the same number of updates per epoch.  A stack of M models (see
+    :func:`init_stack`) takes ``rows``, an (M, n) array of dataset rows:
+    model k trains on ``dataset.subset(rows[k])``, bit for bit, without that
+    subset being built.
     """
-    n = len(dataset)
+    if rows is None:  # one model on the whole dataset, in order
+        rows, rngs, lead = np.arange(len(dataset)), [state.rng], ()
+    else:
+        rows, rngs = np.asarray(rows), state.rng
+        lead = (np.arange(len(rows))[:, None],)
+    # rows[lead + (i,)] maps each model's case positions i to dataset rows.
+    n = rows.shape[-1]
     if config.batch_size > n:
         raise ValueError(f"batch_size {config.batch_size} exceeds dataset size {n}")
     X, y = dataset.features, dataset.labels
     steps = n // config.batch_size
     b = config.batch_size
+    ones = np.ones(rows.shape[:-1] + (b,))
     for _ in range(n_epochs):
         if state.mode == "erm":
-            perm = state.rng.permutation(n)
+            perm = np.stack([rng.permutation(n) for rng in rngs]).reshape(rows.shape)
+            order = rows[lead + (perm,)]
             for k in range(steps):
-                idx = perm[k * b : (k + 1) * b]
-                _, grad = weighted_loss_gradient(state.params, X[idx], y[idx], np.ones(b))
+                idx = order[..., k * b : (k + 1) * b]
+                _, grad = weighted_loss_gradient(state.params, X[idx], y[idx], ones)
                 state.params = sgd_step(state.params, grad, config.learning_rate)
         else:
             for _ in range(steps):
                 idx, w = state.sampler.draw(b)
-                losses, grad = weighted_loss_gradient(state.params, X[idx], y[idx], w)
+                at = rows[lead + (idx,)]
+                losses, grad = weighted_loss_gradient(state.params, X[at], y[at], w)
                 state.params = sgd_step(state.params, grad, config.learning_rate)
                 # Sampler sees raw losses: it models the loss landscape, not
                 # the reweighted estimator.
@@ -260,24 +320,39 @@ def cross_validate(dataset: Dataset, hidden_dims, config: TrainConfig, jobs: int
 
     Fold membership depends only on (n, folds, seed), so two arms sharing a
     seed score exactly the same held-out cases.  Scores are the probability
-    the model assigns to the true class, in [0, 1].  Folds share no mutable
-    state, so ``jobs > 1`` trains them concurrently with identical results.
+    the model assigns to the true class, in [0, 1].  Folds of one training
+    size train in lockstep as one stack; ``jobs > 1`` cuts each stack into
+    up to ``jobs`` stacks that train concurrently, with identical results.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     n = len(dataset)
     dims = (dataset.features.shape[1],) + tuple(int(h) for h in hidden_dims) + (dataset.n_classes,)
     splits = kfold_indices(n, config.folds, config.seed)
     fold_configs = [replace(config, seed=_fold_seed(config.seed, f)) for f in range(len(splits))]
+    # Folds of one training size share step count and sampler layout.
+    by_size: dict = {}
+    for f, (train_idx, _) in enumerate(splits):
+        by_size.setdefault(train_idx.size, []).append(f)
+    stacks = []
+    for folds in by_size.values():
+        parts = min(jobs, len(folds))
+        stacks += [folds[i::parts] for i in range(parts)]
 
-    def run_fold(f: int) -> TrainState:
-        sub = dataset.subset(splits[f][0])
-        state = init_state(len(sub), dims, fold_configs[f])
-        return run_epochs(state, sub, fold_configs[f], fold_configs[f].epochs)
+    def run_stack(folds: list) -> list:
+        rows = np.stack([splits[f][0] for f in folds])
+        state = init_stack(rows.shape[1], dims, config, [fold_configs[f].seed for f in folds])
+        return run_epochs(state, dataset, config, config.epochs, rows=rows).unstack()
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            states = list(pool.map(run_fold, range(len(splits))))
+            trained = list(pool.map(run_stack, stacks))
     else:
-        states = [run_fold(f) for f in range(len(splits))]
+        trained = [run_stack(folds) for folds in stacks]
+    states = [None] * len(splits)
+    for folds, fold_states in zip(stacks, trained):
+        for f, state in zip(folds, fold_states):
+            states[f] = state
 
     scores = np.empty(n)
     for f, (_, val_idx) in enumerate(splits):
@@ -326,7 +401,10 @@ def _params_from_blob(blob: bytes, dims) -> MLPParams:
 
 
 def save_checkpoint(path, state: TrainState, config: TrainConfig) -> None:
-    """Binary layout: magic, config digest, meta length, JSON meta, f64 params."""
+    """Binary layout: magic, config digest, meta length, JSON meta, f64 params.
+
+    The file is replaced whole, through :func:`~drotrain.scores.atomic_write`.
+    """
     dims = state.params.dims
     meta = {
         "dims": list(dims),
@@ -336,7 +414,7 @@ def save_checkpoint(path, state: TrainState, config: TrainConfig) -> None:
         "sampler": state.sampler.state_dict() if state.sampler is not None else None,
     }
     meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(config_digest(config, dims))
         fh.write(struct.pack("<Q", len(meta_bytes)))

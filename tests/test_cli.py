@@ -138,6 +138,15 @@ class TestTrain:
         rel = "dro/seed_0/scores.csv"
         assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes()
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_non_positive_jobs_rejected_before_training(self, tmp_path, capsys, jobs):
+        out = tmp_path / "o"
+        config = _write_config(tmp_path, out)
+        assert main(["generate", "--config", str(config)]) == 0
+        assert main(["train", "--config", str(config), "--arm", "erm", "--jobs", jobs]) == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not (out / "erm").exists()
+
     def test_mode_key_rejected_with_pointer(self, tmp_path, capsys):
         train = {"erm": {"epochs": 2, "batch_size": 8, "mode": "erm"}, "dro": {}}
         config = _write_config(tmp_path, tmp_path / "o", train=train)

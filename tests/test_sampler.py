@@ -82,6 +82,21 @@ class TestStaleLossState:
         with pytest.raises(ValueError):
             s.update_loss(0, math.inf)
 
+    def test_float_index_rejected(self):
+        """A non-integer index is refused, not truncated onto another case."""
+        s = HardnessWeightedSampler(3, SamplerConfig(init_loss=1.0))
+        with pytest.raises(ValueError, match="integer"):
+            s.update_loss(1.5, 0.2)
+        with pytest.raises(ValueError, match="integer"):
+            s.update_losses(np.array([0.0, 2.0]), [0.2, 0.3])
+        np.testing.assert_array_equal(s.stale_losses, [1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint8])
+    def test_integer_index_arrays_accepted(self, dtype):
+        s = HardnessWeightedSampler(3, SamplerConfig(init_loss=1.0))
+        s.update_losses(np.array([2, 0], dtype=dtype), [0.2, 0.3])
+        np.testing.assert_array_equal(s.stale_losses, [0.3, 1.0, 0.2])
+
     def test_point_updates_draw_like_batch_update(self):
         """update_loss one index at a time leaves the sampler drawing exactly
         as one update_losses call with the same entries does."""
@@ -341,3 +356,56 @@ class TestUniformReference:
         idx, _ = u.draw(90_000)
         freq = np.bincount(idx, minlength=9) / 90_000
         np.testing.assert_allclose(freq, 1 / 9, atol=0.01)
+
+
+class TestStackedSampler:
+    """A stack of M trees against M samplers built alone from the same seeds."""
+
+    @pytest.mark.parametrize("n", [1, 31, 33, 1000])
+    def test_stream_equals_single_samplers(self, n):
+        """Draws, weights, stale losses and counts match bit for bit over a
+        stream of draws and updates, duplicate indices included."""
+        seeds = [3, 4, 5]
+        config = SamplerConfig(beta=50.0, w_min=0.05, w_max=20.0, init_loss=2.0)
+        stack = HardnessWeightedSampler.stacked(n, config, seeds)
+        singles = [HardnessWeightedSampler(n, config, seed=seed) for seed in seeds]
+        rng = np.random.default_rng([22, n])
+        for _ in range(40):
+            idx, w = stack.draw(8)
+            assert idx.shape == w.shape == (3, 8)
+            for k, single in enumerate(singles):
+                ik, wk = single.draw(8)
+                np.testing.assert_array_equal(idx[k], ik)
+                np.testing.assert_array_equal(w[k], wk)
+            losses = rng.uniform(0.0, 2.0, size=(3, 8))
+            stack.update_losses(idx, losses)
+            for k, single in enumerate(singles):
+                single.update_losses(idx[k], losses[k])
+        np.testing.assert_array_equal(stack.stale_losses, np.stack([s.stale_losses for s in singles]))
+        np.testing.assert_array_equal(stack.draw_counts, np.stack([s.draw_counts for s in singles]))
+        for k, (part, single) in enumerate(zip(stack.unstack(), singles)):
+            assert part.state_dict() == single.state_dict()
+            np.testing.assert_array_equal(stack.distribution()[k], single.distribution())
+
+    def test_counts_cover_every_tree_and_case(self):
+        stack = HardnessWeightedSampler.stacked(10, None, [0, 1])
+        stack.draw(4)
+        assert stack.n == 20
+        assert stack.draw_counts.shape == (2, 10)
+        assert stack.draw_counts.sum() == 8
+
+    def test_unstack_views_the_stack(self):
+        """Trees split off a stack share its arrays rather than copying them."""
+        stack = HardnessWeightedSampler.stacked(40, None, [0, 1])
+        _, second = stack.unstack()
+        second.update_loss(3, 0.25)
+        second.draw(5)
+        assert stack.stale_losses[1, 3] == 0.25
+        assert stack.draw_counts[1].sum() == 5
+
+    def test_update_needs_one_row_per_tree(self):
+        stack = HardnessWeightedSampler.stacked(10, None, [0, 1])
+        with pytest.raises(ValueError, match="row"):
+            stack.update_losses([1, 2], [0.1, 0.2])
+        with pytest.raises(ValueError):
+            stack.state_dict()

@@ -3,8 +3,16 @@
 import numpy as np
 import pytest
 
+from drotrain import scores, training
 from drotrain.datasets import Dataset
-from drotrain.mlp import MAX_LOSS, init_params, predict_proba, true_class_prob, weighted_loss_gradient
+from drotrain.mlp import (
+    MAX_LOSS,
+    MLPParams,
+    init_params,
+    predict_proba,
+    true_class_prob,
+    weighted_loss_gradient,
+)
 from drotrain.sampler import SamplerConfig
 from drotrain.training import (
     SCORE_REGION,
@@ -241,6 +249,61 @@ class TestCrossValidate:
         assert len(result.table) == 50
 
 
+class TestLockstepFolds:
+    """Folds trained as stacks against each fold trained alone on its subset."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("mode", ["erm", "dro"])
+    @pytest.mark.parametrize("n", [47, 49])
+    def test_each_fold_equals_training_it_alone(self, n, mode, jobs):
+        """With 3 folds of batch 8, n = 47 gives 3/3/4 steps per epoch and
+        n = 49 gives sampler trees of 2/3/3 blocks, so folds land in separate
+        stacks; every fold still ends bit-identical to a lone run."""
+        dataset = _blob_dataset(n, seed=n)
+        config = TrainConfig(epochs=3, batch_size=8, mode=mode, folds=3, seed=4)
+        result = cross_validate(dataset, (6,), config, jobs=jobs)
+        for f, (train_idx, _) in enumerate(result.splits):
+            fold_config = result.fold_configs[f]
+            alone = init_state(len(train_idx), result.dims, fold_config)
+            run_epochs(alone, dataset.subset(train_idx), fold_config, fold_config.epochs)
+            state = result.states[f]
+            assert state.epoch == alone.epoch == 3
+            assert _params_equal(state.params, alone.params)
+            if mode == "dro":
+                assert state.sampler.state_dict() == alone.sampler.state_dict()
+            else:
+                assert state.rng.bit_generator.state == alone.rng.bit_generator.state
+
+    def test_stacked_gradient_equals_single_calls(self):
+        rng = np.random.default_rng(23)
+        models = [init_params((5, 7, 6, 3), seed) for seed in range(4)]
+        stacked = MLPParams(
+            [np.stack(ws) for ws in zip(*(m.weights for m in models))],
+            [np.stack(bs) for bs in zip(*(m.biases for m in models))],
+        )
+        X = 3.0 * rng.standard_normal((4, 9, 5))
+        y = rng.integers(0, 3, size=(4, 9))
+        w = rng.uniform(0.1, 10.0, size=(4, 9))
+        losses, grad = weighted_loss_gradient(stacked, X, y, w)
+        assert losses.shape == (4, 9)
+        for k, model in enumerate(models):
+            lk, gk = weighted_loss_gradient(model, X[k], y[k], w[k])
+            np.testing.assert_array_equal(losses[k], lk)
+            for a, b in zip(grad.weights + grad.biases, gk.weights + gk.biases):
+                np.testing.assert_array_equal(a[k], b)
+
+    def test_stacked_gradient_rejects_mismatched_stack(self):
+        stacked = MLPParams([np.zeros((2, 3, 4))], [np.zeros((2, 3))])
+        with pytest.raises(ValueError):
+            weighted_loss_gradient(stacked, np.zeros((3, 5, 4)), np.zeros((3, 5), dtype=int), np.ones((3, 5)))
+        with pytest.raises(ValueError):
+            weighted_loss_gradient(stacked, np.zeros((5, 4)), np.zeros(5, dtype=int), np.ones(5))
+
+    def test_zero_jobs_rejected(self):
+        with pytest.raises(ValueError, match="jobs"):
+            cross_validate(_blob_dataset(30), (4,), TrainConfig(epochs=1, batch_size=5, folds=3), jobs=0)
+
+
 class TestCheckpoint:
     def test_roundtrip_preserves_state(self, tmp_path):
         dataset = _blob_dataset(40)
@@ -286,3 +349,39 @@ class TestCheckpoint:
         path.write_bytes(b"NOTACKPT" + b"\x00" * 64)
         with pytest.raises(ValueError, match="magic"):
             load_checkpoint(path, TrainConfig())
+
+
+class TestCrashSafeWrites:
+    """A write that fails part-way leaves the previous file and no temp file."""
+
+    def test_failed_checkpoint_keeps_previous_file(self, tmp_path, monkeypatch):
+        config = TrainConfig(epochs=1, batch_size=6, seed=0)
+        state = init_state(30, (2, 4, 2), config)
+        path = tmp_path / "fold_0.ckpt"
+        save_checkpoint(path, state, config)
+        before = path.read_bytes()
+
+        def fail(params):
+            raise RuntimeError("disk full")
+
+        monkeypatch.setattr(training, "_params_blob", fail)
+        state.epoch = 5
+        with pytest.raises(RuntimeError, match="disk full"):
+            save_checkpoint(path, state, config)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["fold_0.ckpt"]
+
+    def test_failed_score_write_keeps_previous_file(self, tmp_path):
+        table = scores.ScoreTable([scores.ScoreRow(f"c{i}", "g", SCORE_REGION, 0.5) for i in range(3)])
+        path = tmp_path / "scores.csv"
+        scores.write_scores(table, path)
+        before = path.read_bytes()
+
+        def rows_then_crash():
+            yield scores.ScoreRow("c0", "g", SCORE_REGION, 0.25)
+            raise RuntimeError("killed")
+
+        with pytest.raises(RuntimeError, match="killed"):
+            scores.write_scores(rows_then_crash(), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["scores.csv"]
