@@ -246,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--arm", required=True, choices=["erm", "dro"], help="training regime")
     train.add_argument("--out", help="output directory (overrides config 'out')")
     train.add_argument(
-        "--jobs", type=int, default=1, help="threads to split each seed's lockstep fold stack across"
+        "--jobs", type=int, default=1, help="threads that train a seed's fold stacks concurrently"
     )
     train.set_defaults(func=cmd_train)
 

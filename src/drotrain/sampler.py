@@ -99,13 +99,13 @@ class HardnessWeightedSampler:
     therefore reproduce identical draw sequences.
 
     :meth:`stacked` builds M trees of ``n`` leaves each, with one RNG stream
-    per tree, held along a leading axis: ``draw`` then returns ``(M, B)``
-    arrays, ``update_losses`` takes them, and the block and block-mass work
-    runs once for the whole stack.  A sampler is the stack of one tree, so
-    each tree of a stack draws exactly as a sampler built alone from its
-    seed and fed the same updates.  ``n`` and ``draw_counts`` cover every
-    (tree, case) pair; :meth:`unstack` splits a stack into samplers that
-    view its arrays.
+    per tree, held along a leading axis.  ``update_losses`` then takes
+    ``(M, B)`` arrays and runs the block and block-mass work once for the
+    whole stack; :meth:`unstack` splits a stack into one sampler per tree,
+    viewing its arrays, and each tree draws through its own sampler.  A
+    sampler is the stack of one tree, so each tree of a stack draws exactly
+    as a sampler built alone from its seed and fed the same updates.  ``n``
+    and ``draw_counts`` cover every (tree, case) pair.
     """
 
     def __init__(self, n: int, config: SamplerConfig | None = None, seed: int = 0):
@@ -113,7 +113,7 @@ class HardnessWeightedSampler:
 
     @classmethod
     def stacked(cls, n: int, config: SamplerConfig | None, seeds) -> "HardnessWeightedSampler":
-        """One tree of ``n`` leaves per seed, advanced together."""
+        """One tree of ``n`` leaves per seed, updated together."""
         sampler = cls.__new__(cls)
         sampler._setup(n, config, list(seeds), single=False)
         return sampler
@@ -143,11 +143,14 @@ class HardnessWeightedSampler:
         self._refresh_all()
 
     def _views(self) -> None:
-        """Each tree's leaves and CDF cut into blocks, and each tree's row number."""
-        m = len(self._rngs)
-        self._stale_rows = self._stale.reshape(m, -1, self._block)
-        self._cdf_rows = self._cdf.reshape(m, -1, self._block)
+        """Flat views with one row per (tree, block), and each tree's number and first row."""
+        m, n_blocks = self._block_max.shape
+        self._stale_rows = self._stale.reshape(m * n_blocks, self._block)
+        self._cdf_rows = self._cdf.reshape(m * n_blocks, self._block)
+        self._block_max_flat = self._block_max.reshape(-1)
+        self._block_sum_flat = self._block_sum.reshape(-1)
         self._tree = np.arange(m)[:, None]
+        self._first_row = self._tree * n_blocks
 
     def unstack(self) -> list:
         """One sampler per tree, each viewing (not copying) this stack's arrays."""
@@ -184,17 +187,18 @@ class HardnessWeightedSampler:
 
     def _refresh(self, blocks: np.ndarray) -> None:
         """Recompute the caches of ``blocks`` (one row per tree) and the block masses."""
-        leaves = self.config.beta * self._stale_rows[self._tree, blocks]
-        top = np.maximum.reduce(leaves, axis=2)
-        cdf = leaves - top[..., None]
+        rows = (blocks + self._first_row).ravel()
+        leaves = self.config.beta * self._stale_rows[rows]
+        top = np.maximum.reduce(leaves, axis=1)
+        cdf = leaves - top[:, None]
         _floored_exp(cdf)
-        np.add.accumulate(cdf, axis=2, out=cdf)
-        total = cdf[..., -1].copy()
-        cdf /= total[..., None]
-        cdf += blocks[..., None]
-        self._cdf_rows[self._tree, blocks] = cdf
-        self._block_max[self._tree, blocks] = top
-        self._block_sum[self._tree, blocks] = total
+        np.add.accumulate(cdf, axis=1, out=cdf)
+        total = cdf[:, -1].copy()
+        cdf /= total[:, None]
+        cdf += blocks.reshape(-1, 1)
+        self._cdf_rows[rows] = cdf
+        self._block_max_flat[rows] = top
+        self._block_sum_flat[rows] = total
         np.maximum.reduce(self._block_max, axis=1, out=self._top)
         mass = self._block_max - self._top[:, None]
         _floored_exp(mass)
@@ -203,6 +207,8 @@ class HardnessWeightedSampler:
 
     def update_loss(self, index: int, loss: float) -> None:
         """Record the freshly observed loss of one sample (overwrite)."""
+        if not self._single:
+            raise ValueError("a stack takes update_losses with one row of indices per tree")
         if not 0 <= index < self.n:
             raise ValueError(f"index {index} out of range for {self.n} samples")
         if not math.isfinite(loss):
@@ -243,33 +249,34 @@ class HardnessWeightedSampler:
 
         Returns ``(indices, importance_weights)`` where each weight is
         ``clip(n * q_index, w_min, w_max)``.  Advances the RNG and the
-        per-sample draw counts.
+        per-sample draw counts.  A stack draws through the samplers of
+        :meth:`unstack`, one per tree.
         """
+        if not self._single:
+            raise ValueError("a stack draws from each tree: unstack() it into one sampler per tree")
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        n = self._counts.shape[1]
-        total = self._cum_mass[:, -1]
-        indices = np.empty((len(self._rngs), batch_size), dtype=np.intp)
-        for k, rng in enumerate(self._rngs):
-            u = rng.random(2 * batch_size)
-            t, within = u[:batch_size], u[batch_size:]
-            t *= total[k]  # u < 1 keeps t < total, so every t finds a block
-            blocks = self._cum_mass[k].searchsorted(t, side="right")
-            within += blocks
-            # Rounding can carry b + within up to the next block's offset, with
-            # probability about b * 2**-53 in block b; that block's first leaf
-            # with mass is then drawn (the last leaf, past the last block).
-            indices[k] = self._cdf[k].searchsorted(within, side="right")
-        np.minimum(indices, n - 1, out=indices)
+        stale, cdf, cum_mass, counts = self._stale[0], self._cdf[0], self._cum_mass[0], self._counts[0]
+        u = self._rngs[0].random(2 * batch_size)
+        t, within = u[:batch_size], u[batch_size:]
+        total = cum_mass[-1]
+        t *= total  # u < 1 keeps t < total, so every t finds a block
+        blocks = cum_mass.searchsorted(t, side="right")
+        within += blocks
+        # Rounding can carry b + within up to the next block's offset, with
+        # probability about b * 2**-53 in block b; that block's first leaf
+        # with mass is then drawn (the last leaf, past the last block).
+        indices = cdf.searchsorted(within, side="right")
+        np.minimum(indices, counts.size - 1, out=indices)
         # n * exp(leaf - top) / total is exactly 1 when all leaves are equal.
-        weights = self.config.beta * self._stale[self._tree, indices]
-        weights -= self._top[:, None]
+        weights = self.config.beta * stale[indices]
+        weights -= self._top[0]
         np.exp(weights, out=weights)
-        weights *= (n / total)[:, None]
+        weights *= counts.size / total
         np.maximum(weights, self.config.w_min, out=weights)
         np.minimum(weights, self.config.w_max, out=weights)
-        np.add.at(self._counts, (self._tree, indices), 1)
-        return self._squeeze(indices), self._squeeze(weights)
+        np.add.at(counts, indices, 1)
+        return indices, weights
 
     def state_dict(self) -> dict:
         """JSON-serializable snapshot, inverse of :meth:`from_state_dict`."""

@@ -7,13 +7,12 @@ duplicate (case, region) pairs are rejected with the offending line number.
 
 from __future__ import annotations
 
-import contextlib
 import csv
-import os
 from dataclasses import dataclass
-from pathlib import Path
 
-__all__ = ["ScoreRow", "ScoreTable", "load_scores", "write_scores", "atomic_write"]
+from ._files import atomic_write
+
+__all__ = ["ScoreRow", "ScoreTable", "load_scores", "write_scores"]
 
 HEADER = ["case_id", "group", "region", "score"]
 
@@ -87,29 +86,10 @@ def write_scores(table: ScoreTable, path) -> None:
     """Write the canonical form: header, repr floats, newline-terminated.
 
     ``write_scores(load_scores(p), p2)`` reproduces canonical files
-    byte-for-byte.  The file is replaced whole, through :func:`atomic_write`.
+    byte-for-byte.  The file is replaced whole, never left half-written.
     """
     with atomic_write(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(HEADER)
         for row in table:
             writer.writerow([row.case_id, row.group, row.region, repr(float(row.score))])
-
-
-@contextlib.contextmanager
-def atomic_write(path, mode: str, **kwargs):
-    """Open a temp file beside ``path``; it replaces ``path`` only on success.
-
-    A write that fails part-way leaves ``path`` as it was and removes the
-    temp file, so a process that dies mid-write leaves no truncated file at
-    ``path``.
-    """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, mode, **kwargs) as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise

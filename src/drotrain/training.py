@@ -13,13 +13,14 @@ running a, saving, loading, and running b.
 Cross-validation trains the folds of one seed in lockstep, as a stack: the
 parameters carry a leading fold axis, each step makes one gradient call and
 one SGD call for the whole stack, and the robust regime's sampler holds one
-sum tree per fold along the same axis.  Each fold keeps its own RNG stream
-and gathers its batches from the full feature matrix through its own
-training rows, and every stacked operation acts on each fold exactly as the
+sum tree per fold along the same axis, updated once per step for the whole
+stack.  Each fold keeps its own RNG stream, draws its batch from its own
+tree, and gathers it from the full feature matrix through its own training
+rows, and every stacked operation acts on each fold exactly as the
 unstacked one does, so a fold's trajectory, checkpoint and scores are
 bit-identical to training it alone.  Folds of one training size share their
-step count and sampler layout and form one stack; ``jobs > 1`` cuts the
-stacks into smaller ones that train concurrently, with the same bytes.
+step count and sampler layout and form one stack, so a seed has one or two
+stacks; ``jobs > 1`` trains stacks concurrently, with the same bytes.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._files import atomic_write
 from .datasets import Dataset, kfold_indices
 from .mlp import (
     MAX_LOSS,
@@ -43,7 +45,7 @@ from .mlp import (
     weighted_loss_gradient,
 )
 from .sampler import HardnessWeightedSampler, SamplerConfig, UniformReplacementSampler
-from .scores import ScoreRow, ScoreTable, atomic_write
+from .scores import ScoreRow, ScoreTable
 
 __all__ = [
     "SCORE_REGION",
@@ -234,8 +236,13 @@ def run_epochs(
                 _, grad = weighted_loss_gradient(state.params, X[idx], y[idx], ones)
                 state.params = sgd_step(state.params, grad, config.learning_rate)
         else:
+            # Each model draws from its own tree; the update serves the stack.
+            trees = state.sampler.unstack()
+            idx, w = np.empty(ones.shape, dtype=np.intp), np.empty(ones.shape)
+            idx_rows, w_rows = idx.reshape(-1, b), w.reshape(-1, b)
             for _ in range(steps):
-                idx, w = state.sampler.draw(b)
+                for k, tree in enumerate(trees):
+                    idx_rows[k], w_rows[k] = tree.draw(b)
                 at = rows[lead + (idx,)]
                 losses, grad = weighted_loss_gradient(state.params, X[at], y[at], w)
                 state.params = sgd_step(state.params, grad, config.learning_rate)
@@ -321,8 +328,8 @@ def cross_validate(dataset: Dataset, hidden_dims, config: TrainConfig, jobs: int
     Fold membership depends only on (n, folds, seed), so two arms sharing a
     seed score exactly the same held-out cases.  Scores are the probability
     the model assigns to the true class, in [0, 1].  Folds of one training
-    size train in lockstep as one stack; ``jobs > 1`` cuts each stack into
-    up to ``jobs`` stacks that train concurrently, with identical results.
+    size train in lockstep as one stack; ``jobs > 1`` trains up to ``jobs``
+    of these stacks concurrently, with identical results.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -334,10 +341,7 @@ def cross_validate(dataset: Dataset, hidden_dims, config: TrainConfig, jobs: int
     by_size: dict = {}
     for f, (train_idx, _) in enumerate(splits):
         by_size.setdefault(train_idx.size, []).append(f)
-    stacks = []
-    for folds in by_size.values():
-        parts = min(jobs, len(folds))
-        stacks += [folds[i::parts] for i in range(parts)]
+    stacks = list(by_size.values())
 
     def run_stack(folds: list) -> list:
         rows = np.stack([splits[f][0] for f in folds])
@@ -403,7 +407,7 @@ def _params_from_blob(blob: bytes, dims) -> MLPParams:
 def save_checkpoint(path, state: TrainState, config: TrainConfig) -> None:
     """Binary layout: magic, config digest, meta length, JSON meta, f64 params.
 
-    The file is replaced whole, through :func:`~drotrain.scores.atomic_write`.
+    The file is replaced whole, never left half-written.
     """
     dims = state.params.dims
     meta = {

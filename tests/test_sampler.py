@@ -363,20 +363,22 @@ class TestStackedSampler:
 
     @pytest.mark.parametrize("n", [1, 31, 33, 1000])
     def test_stream_equals_single_samplers(self, n):
-        """Draws, weights, stale losses and counts match bit for bit over a
-        stream of draws and updates, duplicate indices included."""
+        """Draws through the unstacked trees, weights, stale losses and
+        counts match bit for bit over a stream of draws and stacked updates,
+        duplicate indices included."""
         seeds = [3, 4, 5]
         config = SamplerConfig(beta=50.0, w_min=0.05, w_max=20.0, init_loss=2.0)
         stack = HardnessWeightedSampler.stacked(n, config, seeds)
+        trees = stack.unstack()
         singles = [HardnessWeightedSampler(n, config, seed=seed) for seed in seeds]
         rng = np.random.default_rng([22, n])
         for _ in range(40):
-            idx, w = stack.draw(8)
-            assert idx.shape == w.shape == (3, 8)
+            drawn = [tree.draw(8) for tree in trees]
+            idx = np.stack([i for i, _ in drawn])
             for k, single in enumerate(singles):
                 ik, wk = single.draw(8)
                 np.testing.assert_array_equal(idx[k], ik)
-                np.testing.assert_array_equal(w[k], wk)
+                np.testing.assert_array_equal(drawn[k][1], wk)
             losses = rng.uniform(0.0, 2.0, size=(3, 8))
             stack.update_losses(idx, losses)
             for k, single in enumerate(singles):
@@ -389,7 +391,8 @@ class TestStackedSampler:
 
     def test_counts_cover_every_tree_and_case(self):
         stack = HardnessWeightedSampler.stacked(10, None, [0, 1])
-        stack.draw(4)
+        for tree in stack.unstack():
+            tree.draw(4)
         assert stack.n == 20
         assert stack.draw_counts.shape == (2, 10)
         assert stack.draw_counts.sum() == 8
@@ -407,5 +410,15 @@ class TestStackedSampler:
         stack = HardnessWeightedSampler.stacked(10, None, [0, 1])
         with pytest.raises(ValueError, match="row"):
             stack.update_losses([1, 2], [0.1, 0.2])
+        with pytest.raises(ValueError, match="update_losses"):
+            stack.update_loss(15, 0.1)
+        with pytest.raises(ValueError, match="out of range"):
+            stack.update_losses([[1], [10]], [[0.1], [0.2]])
         with pytest.raises(ValueError):
             stack.state_dict()
+
+    def test_stack_draws_only_through_its_trees(self):
+        stack = HardnessWeightedSampler.stacked(10, None, [0, 1])
+        with pytest.raises(ValueError, match="unstack"):
+            stack.draw(4)
+        assert stack.draw_counts.sum() == 0
