@@ -49,6 +49,13 @@ def _load_json(path) -> dict:
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _integer(value, what: str) -> int:
+    """``value`` if it is an integer (not a bool), else a usage error."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise UsageError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _check_keys(obj: dict, known, context: str) -> None:
     unknown = set(obj) - set(known)
     if unknown:
@@ -62,11 +69,16 @@ def _data_config(doc: dict) -> tuple:
         raise UsageError("config needs a 'data' object")
     field_names = [f.name for f in dataclasses.fields(datasets.SyntheticConfig)]
     _check_keys(block, field_names + ["seed"], "data config")
-    seed = int(block.get("seed", 0))
+    for key in ("n_samples", "n_features", "n_classes", "seed"):
+        if key in block:
+            _integer(block[key], f"data.{key}")
+    seed = block.get("seed", 0)
+    if seed < 0:
+        raise UsageError(f"data.seed must be >= 0, got {seed}")
     kwargs = {k: v for k, v in block.items() if k != "seed"}
     try:
         return datasets.SyntheticConfig(**kwargs), seed
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise UsageError(f"data config: {exc}") from exc
 
 
@@ -87,14 +99,17 @@ def _seeds(doc: dict) -> list:
     raw = doc.get("seeds")
     if not isinstance(raw, list) or not raw:
         raise UsageError("config needs a non-empty 'seeds' list")
-    return [int(s) for s in raw]
+    return [_integer(s, "seeds") for s in raw]
 
 
 def _arm_config(doc: dict, arm: str, seed: int) -> TrainConfig:
     train_block = doc.get("train")
-    if not isinstance(train_block, dict) or arm not in train_block:
+    if not isinstance(train_block, dict) or not isinstance(train_block.get(arm), dict):
         raise UsageError(f"config needs a train.{arm} object")
     block = dict(train_block[arm])
+    for key in ("epochs", "batch_size", "folds"):
+        if key in block:
+            _integer(block[key], f"train.{arm}.{key}")
     for reserved, source in (("mode", "the --arm flag"), ("seed", "the seeds list")):
         if reserved in block:
             raise UsageError(f"train.{arm}: '{reserved}' is set by {source}, remove it")
@@ -102,15 +117,15 @@ def _arm_config(doc: dict, arm: str, seed: int) -> TrainConfig:
     block["seed"] = seed
     try:
         return TrainConfig.from_dict(block)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise UsageError(f"train.{arm}: {exc}") from exc
 
 
 def _hidden_dims(doc: dict) -> tuple:
     raw = doc.get("hidden", list(DEFAULT_HIDDEN))
-    if not isinstance(raw, list) or not raw or any(int(h) < 1 for h in raw):
+    if not isinstance(raw, list) or not raw or any(_integer(h, "hidden sizes") < 1 for h in raw):
         raise UsageError("'hidden' must be a non-empty list of positive layer sizes")
-    return tuple(int(h) for h in raw)
+    return tuple(raw)
 
 
 def _out_dir(args, doc: dict) -> Path:
@@ -142,10 +157,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    if args.jobs < 1:
-        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     doc = _load_json(args.config)
     _check_keys(doc, TOP_LEVEL_KEYS, "config")
+    hidden = _hidden_dims(doc)
+    configs = [_arm_config(doc, args.arm, seed) for seed in _seeds(doc)]
     out = _out_dir(args, doc)
     dataset_path = out / DATASET_FILENAME
     if not dataset_path.exists():
@@ -154,7 +169,11 @@ def cmd_train(args) -> int:
         dataset = datasets.read_csv(dataset_path)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    hidden = _hidden_dims(doc)
+    for config in configs:
+        try:
+            training.plan_folds(dataset, hidden, config)
+        except ValueError as exc:
+            raise UsageError(f"train.{args.arm}: {exc}") from exc
 
     test_dataset = None
     if doc.get("test_dataset"):
@@ -162,11 +181,14 @@ def cmd_train(args) -> int:
             test_dataset = datasets.read_csv(doc["test_dataset"])
         except (OSError, ValueError) as exc:
             raise UsageError(f"test_dataset: {exc}") from exc
+        found = (test_dataset.features.shape[1], test_dataset.n_classes)
+        model = (dataset.features.shape[1], dataset.n_classes)
+        if found[0] != model[0] or found[1] > model[1]:
+            raise UsageError(f"test_dataset has (features, classes) {found}, the model {model}")
 
-    for seed in _seeds(doc):
-        config = _arm_config(doc, args.arm, seed)
-        result = cross_validate(dataset, hidden, config, jobs=args.jobs)
-        run_dir = out / args.arm / f"seed_{seed}"
+    for config in configs:
+        result = cross_validate(dataset, hidden, config)
+        run_dir = out / args.arm / f"seed_{config.seed}"
         run_dir.mkdir(parents=True, exist_ok=True)
         for f, state in enumerate(result.states):
             training.save_checkpoint(run_dir / f"fold_{f}.ckpt", state, result.fold_configs[f])
@@ -185,7 +207,7 @@ def cmd_train(args) -> int:
                 for i in range(len(test_dataset))
             ]
             scores.write_scores(scores.ScoreTable(rows), run_dir / "scores_test.csv")
-        print(f"arm={args.arm} seed={seed} folds={config.folds} -> {scores_path}")
+        print(f"arm={args.arm} seed={config.seed} folds={config.folds} -> {scores_path}")
     return 0
 
 
@@ -245,9 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--config", required=True, help="experiment config JSON")
     train.add_argument("--arm", required=True, choices=["erm", "dro"], help="training regime")
     train.add_argument("--out", help="output directory (overrides config 'out')")
-    train.add_argument(
-        "--jobs", type=int, default=1, help="threads that train a seed's fold stacks concurrently"
-    )
     train.set_defaults(func=cmd_train)
 
     rep = sub.add_parser("report", help="render the percentile report for a score file")

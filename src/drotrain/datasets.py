@@ -173,7 +173,8 @@ def write_csv(dataset: Dataset, path) -> None:
 
 
 def read_csv(path) -> Dataset:
-    """Parse a dataset written by :func:`write_csv`, validating the header."""
+    """Parse a dataset written by :func:`write_csv`, validating the header
+    and rejecting non-finite features; errors name the line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -197,7 +198,11 @@ def read_csv(path) -> Dataset:
     labels_arr = np.asarray(labels, dtype=np.int64)
     if labels_arr.min() < 0:
         raise ValueError(f"{path}: labels must be non-negative")
-    return Dataset(np.asarray(rows, dtype=float), labels_arr, groups, case_ids)
+    features = np.asarray(rows, dtype=float)
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"{path}:{int(np.argmin(finite)) + 2}: non-finite feature value")
+    return Dataset(features, labels_arr, groups, case_ids)
 
 
 def kfold_indices(n: int, folds: int, seed: int) -> list:

@@ -1,8 +1,9 @@
 """Small ReLU MLP classifier with exact reverse-mode gradients, in numpy.
 
-Everything here is a pure function of explicit parameters, so forward and
-gradient evaluation are safe to run concurrently; updates are plain
-value-producing steps owned by the caller.
+Everything here is a pure function of explicit parameters; updates are
+plain value-producing steps owned by the caller.  Parameters and gradients
+live in one flat buffer (:class:`MLPParams`), so an SGD step is one
+subtraction over it and a checkpoint is its bytes.
 
 :func:`weighted_loss_gradient` and :func:`sgd_step` also take a stack of M
 models: weights ``(M, out, in)``, biases ``(M, out)``, and batches ``(M, B,
@@ -15,7 +16,7 @@ alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,25 +52,62 @@ class Sample:
     group: str = ""
 
 
-@dataclass
 class MLPParams:
-    """Per-layer weight matrices (out x in) and bias vectors.
+    """Per-layer weight matrices (out x in) and bias vectors in one buffer.
 
-    Hidden layers use ReLU; the last layer emits logits.  The same container
-    doubles as the gradient structure, and holds a stack of models when
-    every array carries a leading model axis.
+    ``theta`` holds every parameter as contiguous f64 in the order ``W0, b0,
+    W1, b1, ...``, each array row-major; ``weights`` and ``biases`` are lists
+    of views into it, so an in-place edit of ``weights[i]`` changes
+    ``theta``.  Hidden layers use ReLU; the last layer emits logits.  The
+    same container doubles as the gradient structure, and holds a stack of
+    M models when ``theta`` carries a leading model axis, shape ``(M, P)``.
+    Built from per-layer arrays, it copies them into a new buffer.
     """
 
-    weights: list = field(default_factory=list)
-    biases: list = field(default_factory=list)
+    def __init__(self, weights, biases):
+        weights = [np.asarray(w, dtype=float) for w in weights]
+        lead = weights[0].shape[:-2]
+        dims = (weights[0].shape[-1],) + tuple(w.shape[-2] for w in weights)
+        parts = [a for pair in zip(weights, biases) for a in pair]
+        self._bind(np.concatenate([np.reshape(a, lead + (-1,)) for a in parts], axis=-1, dtype=float), dims)
 
-    @property
-    def dims(self) -> tuple:
-        """Layer sizes (input, hidden..., output)."""
-        return (self.weights[0].shape[-1],) + tuple(w.shape[-2] for w in self.weights)
+    @classmethod
+    def from_theta(cls, theta: np.ndarray, dims) -> "MLPParams":
+        """Params of layer sizes ``dims`` viewing (not copying) ``theta``."""
+        params = cls.__new__(cls)
+        params._bind(theta, dims)
+        return params
+
+    def _bind(self, theta: np.ndarray, dims) -> None:
+        self.dims = tuple(int(d) for d in dims)
+        # Where each layer's arrays sit on theta's last axis: (slice, shape) of
+        # each weight matrix and the slice of each bias vector.
+        self._weight_parts, self._bias_parts, end = [], [], 0
+        for fan_in, fan_out in zip(self.dims[:-1], self.dims[1:]):
+            self._weight_parts.append((slice(end, end + fan_out * fan_in), (fan_out, fan_in)))
+            end += fan_out * fan_in
+            self._bias_parts.append(slice(end, end + fan_out))
+            end += fan_out
+        if end != theta.shape[-1]:
+            raise ValueError(f"{theta.shape[-1]} parameters do not fit layer sizes {self.dims}")
+        self._view(theta)
+
+    def _view(self, theta: np.ndarray) -> None:
+        lead = theta.shape[:-1]
+        self.theta = theta
+        self.weights = [theta[..., part].reshape(lead + shape) for part, shape in self._weight_parts]
+        self.biases = [theta[..., part] for part in self._bias_parts]
+
+    def _like(self, theta: np.ndarray) -> "MLPParams":
+        """Params of this layout viewing ``theta``, which has ``self.theta``'s shape."""
+        params = MLPParams.__new__(MLPParams)
+        params.dims = self.dims
+        params._weight_parts, params._bias_parts = self._weight_parts, self._bias_parts
+        params._view(theta)
+        return params
 
     def copy(self) -> "MLPParams":
-        return MLPParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
+        return self._like(self.theta.copy())
 
 
 def init_params(dims, seed: int) -> MLPParams:
@@ -89,15 +127,9 @@ def init_params(dims, seed: int) -> MLPParams:
 def forward(params: MLPParams, features) -> np.ndarray:
     """Logits for a single feature vector."""
     x = np.asarray(features, dtype=float)
-    if x.shape != (params.weights[0].shape[1],):
-        raise ValueError(
-            f"feature shape {x.shape} does not match model input ({params.weights[0].shape[1]},)"
-        )
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        x = w @ x + b
-        if i < len(params.weights) - 1:
-            x = np.maximum(x, 0.0)
-    return x
+    if x.shape != (params.dims[0],):
+        raise ValueError(f"feature shape {x.shape} does not match model input ({params.dims[0]},)")
+    return forward_batch(params, x[np.newaxis])[0]
 
 
 def forward_batch(params: MLPParams, X) -> np.ndarray:
@@ -189,26 +221,19 @@ def weighted_loss_gradient(params: MLPParams, X, y, sample_weights) -> tuple:
     delta[raw > MAX_LOSS] = 0.0
     delta *= (w / y.shape[-1])[..., np.newaxis]
 
-    g_weights = [None] * len(params.weights)
-    g_biases = [None] * len(params.biases)
+    grad = params._like(np.empty_like(params.theta))
     for i in range(len(params.weights) - 1, -1, -1):
-        g_weights[i] = np.swapaxes(delta, -1, -2) @ acts[i]
-        g_biases[i] = delta.sum(axis=-2)
+        np.matmul(np.swapaxes(delta, -1, -2), acts[i], out=grad.weights[i])
+        np.add.reduce(delta, axis=-2, out=grad.biases[i])
         if i > 0:
             delta = (delta @ params.weights[i]) * (zs[i - 1] > 0)
-    return losses, MLPParams(g_weights, g_biases)
+    return losses, grad
 
 
 def sgd_step(params: MLPParams, gradient: MLPParams, learning_rate: float) -> MLPParams:
     """Return ``params - learning_rate * gradient`` elementwise."""
     if learning_rate <= 0:
         raise ValueError(f"learning_rate must be > 0, got {learning_rate}")
-    if len(params.weights) != len(gradient.weights) or any(
-        pw.shape != gw.shape or pb.shape != gb.shape
-        for pw, gw, pb, gb in zip(params.weights, gradient.weights, params.biases, gradient.biases)
-    ):
+    if params.dims != gradient.dims or params.theta.shape != gradient.theta.shape:
         raise ValueError("gradient structure does not match params")
-    return MLPParams(
-        [w - learning_rate * g for w, g in zip(params.weights, gradient.weights)],
-        [b - learning_rate * g for b, g in zip(params.biases, gradient.biases)],
-    )
+    return params._like(params.theta - learning_rate * gradient.theta)

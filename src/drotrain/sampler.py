@@ -319,14 +319,14 @@ class HardnessWeightedSampler:
 class UniformReplacementSampler(HardnessWeightedSampler):
     """Uniform-with-replacement reference sharing the draw contract above.
 
-    The constant-leaf case of hardness weighting: nothing in the package
-    updates its stale losses, so its distribution stays exactly 1/n, and it
-    emits unit importance weights.  A :class:`HardnessWeightedSampler`
-    seeded the same way produces a bit-identical index stream until its
-    first loss update, which is the degenerate plain-SGD limit of hardness
-    weighting.
+    The constant-leaf case of hardness weighting: :meth:`update_losses`
+    ignores the losses it is fed, so the stale losses stay at ``init_loss``,
+    the distribution stays exactly 1/n, and every draw has importance weight
+    exactly ``n * (1/n) = 1`` (for clipping bounds around 1, as the
+    default's).  A :class:`HardnessWeightedSampler` seeded the same way
+    produces a bit-identical index stream until its first loss update, which
+    is the degenerate plain-SGD limit of hardness weighting.
     """
 
-    def draw(self, batch_size: int) -> tuple[np.ndarray, np.ndarray]:
-        indices, _ = super().draw(batch_size)
-        return indices, np.ones(indices.shape)
+    def update_losses(self, indices, losses) -> None:
+        """Ignore the losses: the distribution stays uniform."""

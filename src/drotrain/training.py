@@ -1,14 +1,20 @@
 """Training regimes and orchestration: mean-loss SGD, robust training via
-hardness-weighted sampling, fold ensembling, and resumable checkpoints.
+hardness-weighted sampling, fold ensembling, and checkpoints.
 
-Two regimes share one step shape.  The mean-loss regime shuffles the
-training set each epoch and walks it in mini-batches without replacement.
-The robust regime draws each mini-batch with replacement from the sampler's
-softmax-of-stale-losses distribution, scales every sample's gradient by its
-clipped importance weight, and feeds the freshly observed raw losses back
-into the sampler.  Everything is deterministic given the config seed, and a
-checkpoint restores mid-run state exactly: running a+b epochs equals
-running a, saving, loading, and running b.
+Every regime trains through one loop, :func:`run_epochs`.  Each step draws
+a batch of case positions with importance weights, gathers their rows,
+takes one SGD step on the weighted-mean gradient, and feeds the raw losses
+back to whatever drew the batch.  The state picks the regime.  A state that
+holds generators trains on mean loss: each epoch shuffles the training set
+and walks it in mini-batches without replacement, with unit weights and no
+feedback.  A state that holds a sampler draws each batch with replacement
+from it and feeds it the losses: a :class:`HardnessWeightedSampler` gives
+the robust regime, whose draws follow the softmax of the stale losses with
+clipped importance weights, and a :class:`UniformReplacementSampler`, which
+ignores the losses, gives mean-loss training with replacement.  Everything
+is deterministic given the config seed, and a checkpoint restores mid-run
+state exactly: running a+b epochs equals running a, saving, loading, and
+running b.
 
 Cross-validation trains the folds of one seed in lockstep, as a stack: the
 parameters carry a leading fold axis, each step makes one gradient call and
@@ -20,7 +26,7 @@ rows, and every stacked operation acts on each fold exactly as the
 unstacked one does, so a fold's trajectory, checkpoint and scores are
 bit-identical to training it alone.  Folds of one training size share their
 step count and sampler layout and form one stack, so a seed has one or two
-stacks; ``jobs > 1`` trains stacks concurrently, with the same bytes.
+stacks, trained one after the other.
 """
 
 from __future__ import annotations
@@ -28,7 +34,6 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -60,6 +65,7 @@ __all__ = [
     "train_dro",
     "train_replacement_erm",
     "ensemble_predict",
+    "plan_folds",
     "cross_validate",
     "config_digest",
     "save_checkpoint",
@@ -94,8 +100,8 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.folds < 1:
@@ -156,18 +162,12 @@ class TrainState:
 
     def unstack(self) -> list:
         """One state per model of a stack, viewing (not copying) its arrays."""
-        m = self.params.weights[0].shape[0]
-        rngs = self.rng if self.rng is not None else [None] * m
-        samplers = self.sampler.unstack() if self.sampler is not None else [None] * m
+        theta, dims = self.params.theta, self.params.dims
+        rngs = self.rng if self.rng is not None else [None] * len(theta)
+        samplers = self.sampler.unstack() if self.sampler is not None else [None] * len(theta)
         return [
-            TrainState(
-                MLPParams([w[k] for w in self.params.weights], [b[k] for b in self.params.biases]),
-                self.epoch,
-                self.mode,
-                rngs[k],
-                samplers[k],
-            )
-            for k in range(m)
+            TrainState(MLPParams.from_theta(theta[k], dims), self.epoch, self.mode, rngs[k], samplers[k])
+            for k in range(len(theta))
         ]
 
 
@@ -187,11 +187,8 @@ def init_stack(n: int, dims, config: TrainConfig, seeds) -> TrainState:
     has seed ``seeds[k]``.
     """
     streams = [np.random.SeedSequence(seed).spawn(2) for seed in seeds]
-    models = [init_params(dims, init_ss) for init_ss, _ in streams]
-    params = MLPParams(
-        [np.stack(ws) for ws in zip(*(p.weights for p in models))],
-        [np.stack(bs) for bs in zip(*(p.biases for p in models))],
-    )
+    theta = np.stack([init_params(dims, init_ss).theta for init_ss, _ in streams])
+    params = MLPParams.from_theta(theta, dims)
     loops = [loop_ss for _, loop_ss in streams]
     if config.mode == "dro":
         return TrainState(params, 0, "dro", sampler=HardnessWeightedSampler.stacked(n, config.sampler, loops))
@@ -208,11 +205,13 @@ def run_epochs(
 ) -> TrainState:
     """Advance the run by ``n_epochs``; mutates and returns ``state``.
 
-    An epoch is floor(n / batch_size) SGD steps in both regimes, so the two
-    see the same number of updates per epoch.  A stack of M models (see
-    :func:`init_stack`) takes ``rows``, an (M, n) array of dataset rows:
-    model k trains on ``dataset.subset(rows[k])``, bit for bit, without that
-    subset being built.
+    An epoch is floor(n / batch_size) SGD steps in every regime, so all see
+    the same number of updates per epoch.  A state without a sampler
+    shuffles with its generators; a state with one draws from it and feeds
+    it the raw losses.  A stack of M models (see :func:`init_stack`) takes
+    ``rows``, an (M, n) array of dataset rows: model k trains on
+    ``dataset.subset(rows[k])``, bit for bit, without that subset being
+    built.
     """
     if rows is None:  # one model on the whole dataset, in order
         rows, rngs, lead = np.arange(len(dataset)), [state.rng], ()
@@ -224,28 +223,34 @@ def run_epochs(
     if config.batch_size > n:
         raise ValueError(f"batch_size {config.batch_size} exceeds dataset size {n}")
     X, y = dataset.features, dataset.labels
-    steps = n // config.batch_size
-    b = config.batch_size
-    ones = np.ones(rows.shape[:-1] + (b,))
-    for _ in range(n_epochs):
-        if state.mode == "erm":
+    b, steps = config.batch_size, n // config.batch_size
+    shape = rows.shape[:-1] + (b,)
+
+    if state.sampler is None:
+        ones = np.ones(shape)
+
+        def batches():
             perm = np.stack([rng.permutation(n) for rng in rngs]).reshape(rows.shape)
-            order = rows[lead + (perm,)]
-            for k in range(steps):
-                idx = order[..., k * b : (k + 1) * b]
-                _, grad = weighted_loss_gradient(state.params, X[idx], y[idx], ones)
-                state.params = sgd_step(state.params, grad, config.learning_rate)
-        else:
-            # Each model draws from its own tree; the update serves the stack.
-            trees = state.sampler.unstack()
-            idx, w = np.empty(ones.shape, dtype=np.intp), np.empty(ones.shape)
-            idx_rows, w_rows = idx.reshape(-1, b), w.reshape(-1, b)
+            return ((perm[..., k * b : (k + 1) * b], ones) for k in range(steps))
+
+    else:
+        # Each model draws from its own tree; the update serves the stack.
+        trees = state.sampler.unstack()
+        idx, w = np.empty(shape, dtype=np.intp), np.empty(shape)
+        idx_rows, w_rows = idx.reshape(-1, b), w.reshape(-1, b)
+
+        def batches():
             for _ in range(steps):
                 for k, tree in enumerate(trees):
                     idx_rows[k], w_rows[k] = tree.draw(b)
-                at = rows[lead + (idx,)]
-                losses, grad = weighted_loss_gradient(state.params, X[at], y[at], w)
-                state.params = sgd_step(state.params, grad, config.learning_rate)
+                yield idx, w
+
+    for _ in range(n_epochs):
+        for idx, w in batches():
+            at = rows[lead + (idx,)]
+            losses, grad = weighted_loss_gradient(state.params, X[at], y[at], w)
+            state.params = sgd_step(state.params, grad, config.learning_rate)
+            if state.sampler is not None:
                 # Sampler sees raw losses: it models the loss landscape, not
                 # the reweighted estimator.
                 state.sampler.update_losses(idx, losses)
@@ -253,22 +258,21 @@ def run_epochs(
     return state
 
 
+def _train(dataset: Dataset, dims, config: TrainConfig, mode: str) -> MLPParams:
+    if config.mode != mode:
+        raise ValueError(f"train_{mode} requires mode {mode!r}, got {config.mode!r}")
+    state = init_state(len(dataset), _check_dims(dataset, dims), config)
+    return run_epochs(state, dataset, config, config.epochs).params
+
+
 def train_erm(dataset: Dataset, dims, config: TrainConfig) -> MLPParams:
     """Mean-loss SGD over shuffled without-replacement epochs."""
-    if config.mode != "erm":
-        raise ValueError(f"train_erm requires mode 'erm', got {config.mode!r}")
-    dims = _check_dims(dataset, dims)
-    state = init_state(len(dataset), dims, config)
-    return run_epochs(state, dataset, config, config.epochs).params
+    return _train(dataset, dims, config, "erm")
 
 
 def train_dro(dataset: Dataset, dims, config: TrainConfig) -> MLPParams:
     """Robust training: hardness-weighted batches with importance weights."""
-    if config.mode != "dro":
-        raise ValueError(f"train_dro requires mode 'dro', got {config.mode!r}")
-    dims = _check_dims(dataset, dims)
-    state = init_state(len(dataset), dims, config)
-    return run_epochs(state, dataset, config, config.epochs).params
+    return _train(dataset, dims, config, "dro")
 
 
 def train_replacement_erm(dataset: Dataset, dims, config: TrainConfig) -> MLPParams:
@@ -278,21 +282,10 @@ def train_replacement_erm(dataset: Dataset, dims, config: TrainConfig) -> MLPPar
     sampling is necessarily with-replacement: with beta -> 0 and unit
     clipping the robust regime equals this one in law.
     """
-    dims = _check_dims(dataset, dims)
-    n = len(dataset)
-    if config.batch_size > n:
-        raise ValueError(f"batch_size {config.batch_size} exceeds dataset size {n}")
     init_ss, loop_ss = np.random.SeedSequence(config.seed).spawn(2)
-    params = init_params(dims, init_ss)
-    sampler = UniformReplacementSampler(n, seed=loop_ss)
-    X, y = dataset.features, dataset.labels
-    steps = n // config.batch_size
-    for _ in range(config.epochs):
-        for _ in range(steps):
-            idx, w = sampler.draw(config.batch_size)
-            _, grad = weighted_loss_gradient(params, X[idx], y[idx], w)
-            params = sgd_step(params, grad, config.learning_rate)
-    return params
+    params = init_params(_check_dims(dataset, dims), init_ss)
+    state = TrainState(params, 0, "erm", sampler=UniformReplacementSampler(len(dataset), seed=loop_ss))
+    return run_epochs(state, dataset, config, config.epochs).params
 
 
 def ensemble_predict(models, features) -> np.ndarray:
@@ -322,51 +315,55 @@ def _fold_seed(seed: int, fold: int) -> int:
     return int(np.random.SeedSequence([seed, fold]).generate_state(1, dtype=np.uint64)[0])
 
 
-def cross_validate(dataset: Dataset, hidden_dims, config: TrainConfig, jobs: int = 1) -> CrossValResult:
-    """Train one model per fold; score each case by its fold's model.
+def plan_folds(dataset: Dataset, hidden_dims, config: TrainConfig) -> tuple:
+    """``(dims, splits)`` of a cross-validation run, checked before it trains.
+
+    Raises ``ValueError`` when the folds cannot be split or a batch does not
+    fit the smallest fold's training split.
+    """
+    dims = (dataset.features.shape[1],) + tuple(int(h) for h in hidden_dims) + (dataset.n_classes,)
+    splits = kfold_indices(len(dataset), config.folds, config.seed)
+    smallest = min(train_idx.size for train_idx, _ in splits)
+    if config.batch_size > smallest:
+        raise ValueError(
+            f"batch_size {config.batch_size} exceeds the smallest fold's training split of {smallest} cases"
+        )
+    return dims, splits
+
+
+def cross_validate(dataset: Dataset, hidden_dims, config: TrainConfig) -> CrossValResult:
+    """Train one model per fold; score each held-out case by its fold's model.
 
     Fold membership depends only on (n, folds, seed), so two arms sharing a
-    seed score exactly the same held-out cases.  Scores are the probability
-    the model assigns to the true class, in [0, 1].  Folds of one training
-    size train in lockstep as one stack; ``jobs > 1`` trains up to ``jobs``
-    of these stacks concurrently, with identical results.
+    seed score exactly the same held-out cases, in dataset order: every
+    case for two or more folds, the held-out fifth for one.  Scores are the
+    probability the model assigns to the true class, in [0, 1].  Folds of
+    one training size train in lockstep as one stack.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    n = len(dataset)
-    dims = (dataset.features.shape[1],) + tuple(int(h) for h in hidden_dims) + (dataset.n_classes,)
-    splits = kfold_indices(n, config.folds, config.seed)
+    dims, splits = plan_folds(dataset, hidden_dims, config)
     fold_configs = [replace(config, seed=_fold_seed(config.seed, f)) for f in range(len(splits))]
     # Folds of one training size share step count and sampler layout.
     by_size: dict = {}
     for f, (train_idx, _) in enumerate(splits):
         by_size.setdefault(train_idx.size, []).append(f)
-    stacks = list(by_size.values())
-
-    def run_stack(folds: list) -> list:
+    states = [None] * len(splits)
+    for folds in by_size.values():
         rows = np.stack([splits[f][0] for f in folds])
         state = init_stack(rows.shape[1], dims, config, [fold_configs[f].seed for f in folds])
-        return run_epochs(state, dataset, config, config.epochs, rows=rows).unstack()
+        trained = run_epochs(state, dataset, config, config.epochs, rows=rows)
+        for f, fold_state in zip(folds, trained.unstack()):
+            states[f] = fold_state
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            trained = list(pool.map(run_stack, stacks))
-    else:
-        trained = [run_stack(folds) for folds in stacks]
-    states = [None] * len(splits)
-    for folds, fold_states in zip(stacks, trained):
-        for f, state in zip(folds, fold_states):
-            states[f] = state
-
-    scores = np.empty(n)
+    scores = np.empty(len(dataset))
     for f, (_, val_idx) in enumerate(splits):
         scores[val_idx] = true_class_prob(
             states[f].params, dataset.features[val_idx], dataset.labels[val_idx]
         )
+    held_out = np.sort(np.concatenate([val_idx for _, val_idx in splits]))
     table = ScoreTable(
         [
             ScoreRow(dataset.case_ids[i], dataset.groups[i], SCORE_REGION, float(scores[i]))
-            for i in range(n)
+            for i in held_out
         ]
     )
     return CrossValResult(dims, states, fold_configs, splits, table)
@@ -379,29 +376,8 @@ def config_digest(config: TrainConfig, dims) -> bytes:
 
 
 def _params_blob(params: MLPParams) -> bytes:
-    parts = []
-    for w, b in zip(params.weights, params.biases):
-        parts.append(np.ascontiguousarray(w, dtype="<f8").tobytes())
-        parts.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
-    return b"".join(parts)
-
-
-def _params_from_blob(blob: bytes, dims) -> MLPParams:
-    weights, biases = [], []
-    offset = 0
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        w_bytes = 8 * fan_out * fan_in
-        weights.append(
-            np.frombuffer(blob, dtype="<f8", count=fan_out * fan_in, offset=offset)
-            .reshape(fan_out, fan_in)
-            .copy()
-        )
-        offset += w_bytes
-        biases.append(np.frombuffer(blob, dtype="<f8", count=fan_out, offset=offset).copy())
-        offset += 8 * fan_out
-    if offset != len(blob):
-        raise ValueError(f"checkpoint parameter blob has {len(blob)} bytes, expected {offset}")
-    return MLPParams(weights, biases)
+    """``theta`` as little-endian f64: ``W0, b0, W1, b1, ...`` of each model in turn."""
+    return params.theta.astype("<f8", copy=False).tobytes()
 
 
 def save_checkpoint(path, state: TrainState, config: TrainConfig) -> None:
@@ -427,17 +403,26 @@ def save_checkpoint(path, state: TrainState, config: TrainConfig) -> None:
 
 
 def load_checkpoint(path, config: TrainConfig) -> TrainState:
-    """Restore a state; refuses files written under a different config."""
+    """Restore a state; refuses files written under a different config.
+
+    A truncated or corrupt file raises ``ValueError`` naming ``path``.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:8] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a checkpoint file (bad magic)")
-    digest = raw[8:40]
-    (meta_len,) = struct.unpack("<Q", raw[40:48])
-    meta = json.loads(raw[48 : 48 + meta_len].decode())
-    if digest != config_digest(config, meta["dims"]):
+    meta_len = int.from_bytes(raw[40:48], "little")
+    if len(raw) < 48 + meta_len:
+        raise ValueError(f"{path}: truncated checkpoint, {len(raw)} bytes of {48 + meta_len} or more")
+    meta = json.loads(raw[48 : 48 + meta_len])
+    dims = tuple(meta["dims"])
+    blob = raw[48 + meta_len :]
+    if raw[8:40] != config_digest(config, dims):
         raise ValueError(f"{path}: checkpoint was written under a different configuration")
-    params = _params_from_blob(raw[48 + meta_len :], meta["dims"])
+    size = 8 * sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
+    if len(blob) != size:
+        raise ValueError(f"{path}: checkpoint parameter blob has {len(blob)} bytes, expected {size}")
+    params = MLPParams.from_theta(np.frombuffer(blob, dtype="<f8").astype(float), dims)
     state = TrainState(params, int(meta["epoch"]), meta["mode"])
     if meta["rng_state"] is not None:
         state.rng = np.random.default_rng()

@@ -55,3 +55,36 @@ def percentile_sort_oracle(values, alpha: float) -> float:
     ordered = sorted(float(v) for v in values)
     k = max(1, math.ceil(alpha * len(ordered)))
     return ordered[k - 1]
+
+
+def replacement_sgd_oracle(X, y, weights, biases, draw, steps: int, learning_rate: float, max_loss: float):
+    """Plain per-layer SGD on the mean clamped cross-entropy of drawn batches.
+
+    ``draw()`` returns the batch's dataset rows.  Each layer's arrays are
+    kept and stepped on their own, with the arithmetic of a textbook ReLU
+    MLP: forward, log-softmax, backward, ``w - lr * g``.  A loss past
+    ``max_loss`` is clamped there and its gradient is zero.  Returns the
+    final ``(weights, biases)``.
+    """
+    weights = [np.array(w, dtype=float) for w in weights]
+    biases = [np.array(b, dtype=float) for b in biases]
+    for _ in range(steps):
+        idx = draw()
+        acts, zs = [X[idx]], []
+        for i, (w, b) in enumerate(zip(weights, biases)):
+            zs.append(acts[-1] @ w.T + b)
+            acts.append(np.maximum(zs[-1], 0.0) if i < len(weights) - 1 else zs[-1])
+        z = zs[-1] - zs[-1].max(axis=1, keepdims=True)
+        logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+        rows = np.arange(len(idx))
+        delta = np.exp(logp)
+        delta[rows, y[idx]] -= 1.0
+        delta[-logp[rows, y[idx]] > max_loss] = 0.0
+        delta *= 1.0 / len(idx)
+        for i in range(len(weights) - 1, -1, -1):
+            g_w, g_b = delta.T @ acts[i], delta.sum(axis=0)
+            if i > 0:
+                delta = (delta @ weights[i]) * (zs[i - 1] > 0)
+            weights[i] = weights[i] - learning_rate * g_w
+            biases[i] = biases[i] - learning_rate * g_b
+    return weights, biases

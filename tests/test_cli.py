@@ -126,25 +126,83 @@ class TestTrain:
         assert [r.case_id for r in erm] == [r.case_id for r in dro]
         assert [r.group for r in erm] == [r.group for r in dro]
 
-    def test_jobs_flag_reproduces_serial_bytes(self, tmp_path):
-        out_a = tmp_path / "a"
-        config_a = _write_config(tmp_path, out_a)
-        assert main(["generate", "--config", str(config_a)]) == 0
-        assert main(["train", "--config", str(config_a), "--arm", "dro", "--jobs", "1"]) == 0
-        out_b = tmp_path / "b"
-        config_b = _write_config(tmp_path, out_b)
-        assert main(["generate", "--config", str(config_b)]) == 0
-        assert main(["train", "--config", str(config_b), "--arm", "dro", "--jobs", "3"]) == 0
-        rel = "dro/seed_0/scores.csv"
-        assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes()
+    @pytest.mark.parametrize(
+        "command, overrides, message",
+        [
+            ("generate", {"data": dict(BASE_CONFIG["data"], seed="abc")}, "data.seed"),
+            ("generate", {"data": dict(BASE_CONFIG["data"], n_samples=60.0)}, "data.n_samples"),
+            ("generate", {"data": dict(BASE_CONFIG["data"], seed=-1)}, "data.seed"),
+            ("train", {"train": {"erm": {"epochs": "8", "batch_size": 8}}}, "train.erm.epochs"),
+            ("train", {"train": {"erm": {"epochs": 2, "batch_size": True}}}, "train.erm.batch_size"),
+            ("train", {"train": {"erm": {"epochs": 2, "batch_size": 8, "folds": 2.5}}}, "train.erm.folds"),
+            ("train", {"train": {"erm": {"epochs": 2, "learning_rate": "fast"}}}, "train.erm"),
+            ("train", {"train": {"erm": {"epochs": 2, "learning_rate": float("inf")}}}, "learning_rate"),
+            ("train", {"seeds": ["x"]}, "seeds"),
+            ("train", {"seeds": [0, True]}, "seeds"),
+            ("train", {"hidden": ["a"]}, "hidden"),
+        ],
+        ids=[
+            "data-seed-str",
+            "data-n_samples-float",
+            "data-seed-negative",
+            "epochs-str",
+            "batch_size-bool",
+            "folds-float",
+            "learning_rate-str",
+            "learning_rate-inf",
+            "seeds-str",
+            "seeds-bool",
+            "hidden-str",
+        ],
+    )
+    def test_bad_values_rejected_before_work(self, tmp_path, capsys, command, overrides, message):
+        out = tmp_path / "o"
+        assert main(["generate", "--config", str(_write_config(tmp_path, out))]) == 0
+        config = _write_config(tmp_path, out, **overrides)
+        arm = ["--arm", "erm"] if command == "train" else []
+        assert main([command, "--config", str(config)] + arm) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "erm").exists()
 
-    @pytest.mark.parametrize("jobs", ["0", "-2"])
-    def test_non_positive_jobs_rejected_before_training(self, tmp_path, capsys, jobs):
+    @pytest.mark.parametrize(
+        "erm, message", [({"batch_size": 41}, "batch_size"), ({"folds": 61}, "folds")], ids=["batch", "folds"]
+    )
+    def test_folds_that_cannot_train_rejected_before_training(self, tmp_path, capsys, erm, message):
+        """60 cases in 3 folds leave 40 training cases per fold."""
+        train = {"erm": dict(BASE_CONFIG["train"]["erm"], **erm)}
+        out = tmp_path / "o"
+        config = _write_config(tmp_path, out, train=train)
+        assert main(["generate", "--config", str(config)]) == 0
+        assert main(["train", "--config", str(config), "--arm", "erm"]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "erm").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_rejected_before_training(self, tmp_path, capsys, value):
         out = tmp_path / "o"
         config = _write_config(tmp_path, out)
         assert main(["generate", "--config", str(config)]) == 0
-        assert main(["train", "--config", str(config), "--arm", "erm", "--jobs", jobs]) == 2
-        assert "--jobs" in capsys.readouterr().err
+        lines = (out / "dataset.csv").read_text().splitlines()
+        cells = lines[4].split(",")
+        cells[4] = value
+        lines[4] = ",".join(cells)
+        (out / "dataset.csv").write_text("\n".join(lines) + "\n")
+        assert main(["train", "--config", str(config), "--arm", "dro"]) == 2
+        assert "dataset.csv:5: non-finite" in capsys.readouterr().err
+        assert not (out / "dro").exists()
+
+    @pytest.mark.parametrize("n_features, n_classes", [(5, 3), (4, 4)])
+    def test_mismatched_test_dataset_rejected_before_training(self, tmp_path, capsys, n_features, n_classes):
+        held_out = datasets.generate(
+            datasets.SyntheticConfig(n_samples=25, n_features=n_features, n_classes=n_classes), seed=9
+        )
+        held_out_path = tmp_path / "held_out.csv"
+        datasets.write_csv(held_out, held_out_path)
+        out = tmp_path / "run"
+        config = _write_config(tmp_path, out, test_dataset=str(held_out_path))
+        assert main(["generate", "--config", str(config)]) == 0
+        assert main(["train", "--config", str(config), "--arm", "erm"]) == 2
+        assert "test_dataset" in capsys.readouterr().err
         assert not (out / "erm").exists()
 
     def test_mode_key_rejected_with_pointer(self, tmp_path, capsys):

@@ -115,6 +115,30 @@ class TestForward:
             np.testing.assert_allclose(batched[i], forward(params, X[i]), atol=1e-13)
 
 
+class TestFlatParams:
+    def test_built_from_lists_of_layers(self):
+        params = MLPParams([[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]], [[7.0, 8.0, 9.0]])
+        assert params.dims == (2, 3)
+        np.testing.assert_array_equal(params.theta, np.arange(1.0, 10.0))
+        np.testing.assert_array_equal(params.weights[0], [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        np.testing.assert_array_equal(params.biases[0], [7.0, 8.0, 9.0])
+
+    def test_layer_edits_reach_theta(self):
+        params = init_params((3, 4, 2), 5)
+        params.weights[1][1, 2] = 42.0
+        params.biases[0] += 1.0
+        assert params.theta[12 + 4 + 4 + 2] == 42.0
+        np.testing.assert_array_equal(params.theta[12:16], np.ones(4))
+        stacked = MLPParams.from_theta(np.stack([params.theta, params.theta]), params.dims)
+        stacked.weights[0][1] = 0.0
+        np.testing.assert_array_equal(stacked.theta[1, :12], np.zeros(12))
+        np.testing.assert_array_equal(stacked.theta[0], params.theta)
+
+    def test_size_must_fit_dims(self):
+        with pytest.raises(ValueError):
+            MLPParams.from_theta(np.zeros(10), (3, 2))
+
+
 class TestInitParams:
     def test_deterministic(self):
         a = init_params((6, 32, 32, 3), 5)

@@ -1,7 +1,10 @@
 """Verification tests for the training loops, cross-validation, checkpoints."""
 
+import re
+
 import numpy as np
 import pytest
+from oracles import replacement_sgd_oracle
 
 from drotrain import scores, training
 from drotrain.datasets import Dataset
@@ -13,7 +16,7 @@ from drotrain.mlp import (
     true_class_prob,
     weighted_loss_gradient,
 )
-from drotrain.sampler import SamplerConfig
+from drotrain.sampler import SamplerConfig, UniformReplacementSampler
 from drotrain.training import (
     SCORE_REGION,
     TrainConfig,
@@ -73,6 +76,7 @@ class TestTrainConfig:
             {"learning_rate": 0.0},
             {"mode": "adversarial"},
             {"folds": 0},
+            {"learning_rate": float("inf")},
         ],
     )
     def test_invalid_fields(self, kwargs):
@@ -163,6 +167,29 @@ class TestTrainingLoops:
         )
         assert _accuracy(params, dataset) >= 0.97
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_replacement_erm_equals_plain_reference_loop(self, seed):
+        """The one loop over a flat buffer takes the steps of a per-layer
+        loop over uniform draws, bit for bit."""
+        dataset = _blob_dataset(90, d=3, n_classes=3, seed=seed)
+        dims = (3, 7, 5, 3)
+        config = TrainConfig(epochs=3, batch_size=8, learning_rate=0.5, seed=seed)
+        init_ss, loop_ss = np.random.SeedSequence(seed).spawn(2)
+        start = init_params(dims, init_ss)
+        sampler = UniformReplacementSampler(len(dataset), seed=loop_ss)
+        weights, biases = replacement_sgd_oracle(
+            dataset.features,
+            dataset.labels,
+            start.weights,
+            start.biases,
+            lambda: sampler.draw(config.batch_size)[0],
+            config.epochs * (len(dataset) // config.batch_size),
+            config.learning_rate,
+            MAX_LOSS,
+        )
+        trained = train_replacement_erm(dataset, dims, config)
+        assert _params_equal(trained, MLPParams(weights, biases))
+
     def test_dro_updates_stale_losses_for_drawn_cases(self):
         dataset = _blob_dataset(64)
         config = TrainConfig(epochs=1, batch_size=32, mode="dro", seed=0)
@@ -230,15 +257,6 @@ class TestCrossValidate:
             assert np.array_equal(va_a, va_b)
         assert [r.case_id for r in erm.table] == [r.case_id for r in dro.table]
 
-    def test_parallel_matches_serial(self):
-        dataset = _blob_dataset(60)
-        config = TrainConfig(epochs=2, batch_size=8, mode="dro", folds=3, seed=2)
-        serial = cross_validate(dataset, (8,), config, jobs=1)
-        parallel = cross_validate(dataset, (8,), config, jobs=3)
-        assert [r.score for r in serial.table] == [r.score for r in parallel.table]
-        for a, b in zip(serial.states, parallel.states):
-            assert _params_equal(a.params, b.params)
-
     def test_single_fold_holds_out_a_fifth(self):
         dataset = _blob_dataset(50)
         result = cross_validate(dataset, (4,), TrainConfig(epochs=1, batch_size=5, folds=1, seed=0))
@@ -246,22 +264,25 @@ class TestCrossValidate:
         train_idx, val_idx = result.splits[0]
         assert len(val_idx) == 10
         assert len(train_idx) == 40
-        assert len(result.table) == 50
+        X, y = dataset.features[val_idx], dataset.labels[val_idx]
+        expected = dict(zip(val_idx.tolist(), true_class_prob(result.states[0].params, X, y)))
+        assert [(r.case_id, r.score) for r in result.table] == [
+            (dataset.case_ids[i], expected[i]) for i in sorted(expected)
+        ]
 
 
 class TestLockstepFolds:
     """Folds trained as stacks against each fold trained alone on its subset."""
 
-    @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("mode", ["erm", "dro"])
     @pytest.mark.parametrize("n", [47, 49])
-    def test_each_fold_equals_training_it_alone(self, n, mode, jobs):
+    def test_each_fold_equals_training_it_alone(self, n, mode):
         """With 3 folds of batch 8, n = 47 gives 3/3/4 steps per epoch and
         n = 49 gives sampler trees of 2/3/3 blocks, so folds land in separate
         stacks; every fold still ends bit-identical to a lone run."""
         dataset = _blob_dataset(n, seed=n)
         config = TrainConfig(epochs=3, batch_size=8, mode=mode, folds=3, seed=4)
-        result = cross_validate(dataset, (6,), config, jobs=jobs)
+        result = cross_validate(dataset, (6,), config)
         for f, (train_idx, _) in enumerate(result.splits):
             fold_config = result.fold_configs[f]
             alone = init_state(len(train_idx), result.dims, fold_config)
@@ -299,12 +320,28 @@ class TestLockstepFolds:
         with pytest.raises(ValueError):
             weighted_loss_gradient(stacked, np.zeros((5, 4)), np.zeros(5, dtype=int), np.ones(5))
 
-    def test_zero_jobs_rejected(self):
-        with pytest.raises(ValueError, match="jobs"):
-            cross_validate(_blob_dataset(30), (4,), TrainConfig(epochs=1, batch_size=5, folds=3), jobs=0)
-
 
 class TestCheckpoint:
+    def test_blob_is_per_layer_concatenation(self):
+        models = [init_params((3, 5, 4, 2), seed) for seed in range(3)]
+
+        def per_layer(params):
+            arrays = [a for pair in zip(params.weights, params.biases) for a in pair]
+            return b"".join(np.asarray(a, dtype="<f8").tobytes() for a in arrays)
+
+        assert training._params_blob(models[0]) == per_layer(models[0])
+        stacked = MLPParams.from_theta(np.stack([m.theta for m in models]), models[0].dims)
+        assert training._params_blob(stacked) == b"".join(per_layer(m) for m in models)
+
+    @pytest.mark.parametrize("cut", [0, 5, 20, 47, 48, 60, -9, -8, -5, -1])
+    def test_truncated_file_rejected_naming_path(self, tmp_path, cut):
+        config = TrainConfig(epochs=1, batch_size=6, mode="dro", seed=0)
+        path = tmp_path / "fold_0.ckpt"
+        save_checkpoint(path, init_state(30, (2, 4, 2), config), config)
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_checkpoint(path, config)
+
     def test_roundtrip_preserves_state(self, tmp_path):
         dataset = _blob_dataset(40)
         config = TrainConfig(epochs=2, batch_size=8, mode="dro", seed=3)
