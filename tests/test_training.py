@@ -274,26 +274,30 @@ class TestCrossValidate:
 class TestLockstepFolds:
     """Folds trained as stacks against each fold trained alone on its subset."""
 
+    @pytest.mark.parametrize("runs", [1, 2])
     @pytest.mark.parametrize("mode", ["erm", "dro"])
     @pytest.mark.parametrize("n", [47, 49])
-    def test_each_fold_equals_training_it_alone(self, n, mode):
+    def test_each_fold_equals_training_it_alone(self, n, mode, runs):
         """With 3 folds of batch 8, n = 47 gives 3/3/4 steps per epoch and
         n = 49 gives sampler trees of 2/3/3 blocks, so folds land in separate
-        stacks; every fold still ends bit-identical to a lone run."""
+        stacks; every fold still ends bit-identical to a lone run.  With
+        runs = 2 cross_validate is called twice on the same inputs, and the
+        second call must carry nothing over from the first."""
         dataset = _blob_dataset(n, seed=n)
         config = TrainConfig(epochs=3, batch_size=8, mode=mode, folds=3, seed=4)
-        result = cross_validate(dataset, (6,), config)
-        for f, (train_idx, _) in enumerate(result.splits):
-            fold_config = result.fold_configs[f]
-            alone = init_state(len(train_idx), result.dims, fold_config)
-            run_epochs(alone, dataset.subset(train_idx), fold_config, fold_config.epochs)
-            state = result.states[f]
-            assert state.epoch == alone.epoch == 3
-            assert _params_equal(state.params, alone.params)
-            if mode == "dro":
-                assert state.sampler.state_dict() == alone.sampler.state_dict()
-            else:
-                assert state.rng.bit_generator.state == alone.rng.bit_generator.state
+        for _ in range(runs):
+            result = cross_validate(dataset, (6,), config)
+            for f, (train_idx, _) in enumerate(result.splits):
+                fold_config = result.fold_configs[f]
+                alone = init_state(len(train_idx), result.dims, fold_config)
+                run_epochs(alone, dataset.subset(train_idx), fold_config, fold_config.epochs)
+                state = result.states[f]
+                assert state.epoch == alone.epoch == 3
+                assert _params_equal(state.params, alone.params)
+                if mode == "dro":
+                    assert state.sampler.state_dict() == alone.sampler.state_dict()
+                else:
+                    assert state.rng.bit_generator.state == alone.rng.bit_generator.state
 
     def test_stacked_gradient_equals_single_calls(self):
         rng = np.random.default_rng(23)
