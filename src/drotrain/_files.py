@@ -1,10 +1,16 @@
-"""Whole-file replacement for the files a run writes."""
+"""File helpers: whole-file replacement, and block-wise reading of CSV rows."""
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import os
 from pathlib import Path
+
+# Rows parsed (or written) per block.  Small enough that a block's strings
+# stay a minor share of memory at any file size, large enough that the
+# per-block numpy calls cost little next to the parsing.
+BLOCK_ROWS = 256
 
 
 @contextlib.contextmanager
@@ -24,3 +30,15 @@ def atomic_write(path, mode: str, **kwargs):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def blocks(rows, start: int):
+    """``(first line, rows)`` for consecutive blocks of ``BLOCK_ROWS`` rows.
+
+    ``start`` is the line number of the first row, so a caller can name the
+    line of a fault it finds inside a block.
+    """
+    rows = iter(rows)
+    while block := list(itertools.islice(rows, BLOCK_ROWS)):
+        yield start, block
+        start += len(block)

@@ -17,7 +17,10 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import datasets, scores, training
+from ._files import atomic_write
 from .metrics import (
     compare_reports,
     percentile_report,
@@ -197,16 +200,14 @@ def cmd_train(args) -> int:
         if test_dataset is not None:
             models = [s.params for s in result.states]
             probs = ensemble_predict(models, test_dataset.features)
-            rows = [
-                scores.ScoreRow(
-                    test_dataset.case_ids[i],
-                    test_dataset.groups[i],
-                    training.SCORE_REGION,
-                    float(probs[i, test_dataset.labels[i]]),
-                )
-                for i in range(len(test_dataset))
-            ]
-            scores.write_scores(scores.ScoreTable(rows), run_dir / "scores_test.csv")
+            n = len(test_dataset)
+            table = scores.ScoreTable.from_columns(
+                test_dataset.case_ids,
+                test_dataset.groups,
+                [training.SCORE_REGION] * n,
+                probs[np.arange(n), test_dataset.labels],
+            )
+            scores.write_scores(table, run_dir / "scores_test.csv")
         print(f"arm={args.arm} seed={config.seed} folds={config.folds} -> {scores_path}")
     return 0
 
@@ -231,11 +232,12 @@ def cmd_report(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "report.txt").write_text(text, encoding="utf-8")
-        (out / "report.json").write_text(as_json, encoding="utf-8")
+        files = {"report.txt": text, "report.json": as_json}
         if comparison is not None:
-            (out / "comparison.txt").write_text(comparison_text, encoding="utf-8")
-            (out / "comparison.json").write_text(comparison_json, encoding="utf-8")
+            files |= {"comparison.txt": comparison_text, "comparison.json": comparison_json}
+        for name, content in files.items():
+            with atomic_write(out / name, "w", encoding="utf-8") as fh:
+                fh.write(content)
 
     if args.format == "json":
         if comparison is None:

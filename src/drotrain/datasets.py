@@ -13,8 +13,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
+
+from ._files import BLOCK_ROWS, atomic_write, blocks
 
 __all__ = [
     "SyntheticConfig",
@@ -159,23 +163,65 @@ def generate(config: SyntheticConfig, seed: int) -> Dataset:
 
 
 def write_csv(dataset: Dataset, path) -> None:
-    """Write ``case_id,group,label,f0..f{d-1}`` rows; floats via repr so the
-    round-trip through :func:`read_csv` is bit-exact."""
+    """Write ``case_id,group,label,f0..f{d-1}`` rows; ``csv`` writes floats
+    via repr, so the round-trip through :func:`read_csv` is bit-exact.  The
+    file is replaced whole, never left half-written."""
     d = dataset.features.shape[1]
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["case_id", "group", "label"] + [f"f{j}" for j in range(d)])
-        for i in range(len(dataset)):
-            writer.writerow(
-                [dataset.case_ids[i], dataset.groups[i], int(dataset.labels[i])]
-                + [repr(float(v)) for v in dataset.features[i]]
+        for s in range(0, len(dataset), BLOCK_ROWS):
+            e = s + BLOCK_ROWS
+            writer.writerows(
+                zip(
+                    dataset.case_ids[s:e],
+                    dataset.groups[s:e],
+                    dataset.labels[s:e].tolist(),
+                    *dataset.features[s:e].T.tolist(),
+                )
             )
+
+
+def _parse_block(block, width: int) -> tuple:
+    """(labels, features) arrays of a block of rows; ``ValueError`` if any
+    row has the wrong field count or an unparseable value, ``OverflowError``
+    if a label does not fit in 64 bits."""
+    if set(map(len, block)) != {width}:
+        raise ValueError("field count")
+    labels = np.fromiter(map(int, map(itemgetter(2), block)), np.int64, len(block))
+    values = chain.from_iterable(map(itemgetter(slice(3, None)), block))
+    features = np.fromiter(map(float, values), float, len(block) * (width - 3))
+    return labels, features.reshape(len(block), width - 3)
+
+
+def _first_fault(path, first: int, block, width: int) -> str:
+    """The error for the first faulty row of a block that failed to parse."""
+    for lineno, row in enumerate(block, start=first):
+        if len(row) != width:
+            return f"{path}:{lineno}: expected {width} fields, got {len(row)}"
+        try:
+            label = int(row[2])
+        except ValueError:
+            return f"{path}:{lineno}: unparseable label {row[2]!r}"
+        if not -(2**63) <= label < 2**63:
+            return f"{path}:{lineno}: label {row[2]} does not fit in 64 bits"
+        for j, text in enumerate(row[3:]):
+            try:
+                float(text)
+            except ValueError:
+                return f"{path}:{lineno}: unparseable feature f{j} {text!r}"
+    raise AssertionError("a block that failed to parse has a faulty row")
 
 
 def read_csv(path) -> Dataset:
     """Parse a dataset written by :func:`write_csv`, validating the header
-    and rejecting non-finite features; errors name the line."""
-    with open(path, newline="") as fh:
+    and rejecting unparseable or non-finite values; errors name the line.
+
+    Rows are parsed a block at a time straight into numpy columns, and each
+    distinct group name is kept as one string, so no Python object per
+    value or per group field outlives its block.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -185,24 +231,28 @@ def read_csv(path) -> Dataset:
         d = len(header) - 3
         if d < 1 or header[3:] != [f"f{j}" for j in range(d)]:
             raise ValueError(f"{path}: malformed feature columns in header")
-        case_ids, groups, labels, rows = [], [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            case_ids.append(row[0])
-            groups.append(row[1])
-            labels.append(int(row[2]))
-            rows.append([float(v) for v in row[3:]])
-    if not rows:
+        names: dict = {}
+        case_ids, groups, label_blocks, feature_blocks = [], [], [], []
+        for first, block in blocks(reader, start=2):
+            try:
+                block_labels, block_features = _parse_block(block, len(header))
+            except (ValueError, OverflowError):
+                raise ValueError(_first_fault(path, first, block, len(header))) from None
+            label_blocks.append(block_labels)
+            feature_blocks.append(block_features)
+            case_ids.extend(map(itemgetter(0), block))
+            block_groups = list(map(itemgetter(1), block))
+            groups.extend(map(names.setdefault, block_groups, block_groups))
+    if not case_ids:
         raise ValueError(f"{path}: dataset has no rows")
-    labels_arr = np.asarray(labels, dtype=np.int64)
-    if labels_arr.min() < 0:
+    labels = np.concatenate(label_blocks)
+    if labels.min() < 0:
         raise ValueError(f"{path}: labels must be non-negative")
-    features = np.asarray(rows, dtype=float)
+    features = np.concatenate(feature_blocks)
     finite = np.isfinite(features).all(axis=1)
     if not finite.all():
         raise ValueError(f"{path}:{int(np.argmin(finite)) + 2}: non-finite feature value")
-    return Dataset(features, labels_arr, groups, case_ids)
+    return Dataset(features, labels, groups, case_ids)
 
 
 def kfold_indices(n: int, folds: int, seed: int) -> list:

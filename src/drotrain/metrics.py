@@ -95,42 +95,39 @@ class ReportComparison:
     groups: list
 
 
-def _stratum(scores: list) -> StratumStats:
-    arr = np.asarray(scores, dtype=float)
-    stats = {name: 100.0 * empirical_percentile(arr, a) for name, a in PERCENTILE_ALPHAS.items()}
+def _stratum(scores: np.ndarray) -> StratumStats:
+    stats = {name: 100.0 * empirical_percentile(scores, a) for name, a in PERCENTILE_ALPHAS.items()}
     return StratumStats(
-        count=arr.size,
-        mean=100.0 * float(arr.mean()),
-        std=100.0 * float(arr.std(ddof=0)),
+        count=scores.size,
+        mean=100.0 * float(scores.mean()),
+        std=100.0 * float(scores.std(ddof=0)),
         **stats,
     )
 
 
 def percentile_report(table: ScoreTable) -> PercentileReport:
-    """Summarize every (group, region) stratum observed in the table."""
+    """Summarize every (group, region) stratum observed in the table.
+
+    Each stratum's scores are gathered by row index from the score column,
+    in row order.
+    """
     if len(table) == 0:
         raise ValueError("cannot report on an empty score table")
-    group_order: list = []
-    region_order: dict = {}
-    by_stratum: dict = {}
-    cases: dict = {}
-    for row in table:
-        if row.group not in region_order:
-            group_order.append(row.group)
-            region_order[row.group] = []
-            cases[row.group] = set()
-        if row.region not in region_order[row.group]:
-            region_order[row.group].append(row.region)
-        by_stratum.setdefault((row.group, row.region), []).append(row.score)
-        cases[row.group].add(row.case_id)
+    strata: dict = {}
+    for i, key in enumerate(zip(table.groups, table.regions)):
+        strata.setdefault(key, []).append(i)
+    regions_of: dict = {}
+    for g, r in strata:
+        regions_of.setdefault(g, []).append(r)
+    case_ids = table.case_ids
     return PercentileReport(
         [
             GroupBlock(
                 g,
-                len(cases[g]),
-                [(r, _stratum(by_stratum[(g, r)])) for r in region_order[g]],
+                len({case_ids[i] for r in regions for i in strata[(g, r)]}),
+                [(r, _stratum(table.scores[strata[(g, r)]])) for r in regions],
             )
-            for g in group_order
+            for g, regions in regions_of.items()
         ]
     )
 

@@ -3,6 +3,8 @@
 A score is a quality value in [0, 1] (higher is better), one row per case
 and region.  Parsing is strict: malformed rows, out-of-range scores, and
 duplicate (case, region) pairs are rejected with the offending line number.
+Tables hold columns, not one object per row, and files are read and written
+a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -10,7 +12,9 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 
-from ._files import atomic_write
+import numpy as np
+
+from ._files import BLOCK_ROWS, atomic_write, blocks
 
 __all__ = ["ScoreRow", "ScoreTable", "load_scores", "write_scores"]
 
@@ -25,71 +29,149 @@ class ScoreRow:
     score: float
 
 
-@dataclass
+def _first_repeat(case_ids, regions):
+    """``(i, j)``: row ``i`` is the first whose (case_id, region) pair
+    already appeared, first at row ``j``; ``None`` if every pair is unique.
+    With a single region the case ids alone are the keys, and no pair
+    tuples are built."""
+    keys = case_ids if len(set(regions)) <= 1 else list(zip(case_ids, regions))
+    if len(set(keys)) == len(keys):
+        return None
+    first: dict = {}
+    for i, key in enumerate(keys):
+        if key in first:
+            return i, first[key]
+        first[key] = i
+    raise AssertionError("a repeated pair was not found")
+
+
 class ScoreTable:
-    """Ordered score rows with unique (case_id, region) pairs."""
+    """Score columns, in row order, with unique (case_id, region) pairs.
 
-    rows: list
+    ``ScoreTable(rows)`` builds a table from :class:`ScoreRow` objects and
+    :meth:`from_columns` from aligned columns; both check every score and
+    pair.  ``rows`` and iteration give the rows back as ``ScoreRow``.
+    """
 
-    def __post_init__(self):
-        seen = set()
-        for i, row in enumerate(self.rows):
-            if not (0.0 <= row.score <= 1.0):
-                raise ValueError(f"row {i}: score {row.score} outside [0, 1]")
-            key = (row.case_id, row.region)
-            if key in seen:
-                raise ValueError(f"row {i}: duplicate (case_id, region) pair {key}")
-            seen.add(key)
+    def __init__(self, rows):
+        rows = list(rows)
+        self._set(
+            [r.case_id for r in rows],
+            [r.group for r in rows],
+            [r.region for r in rows],
+            [r.score for r in rows],
+        )
+
+    @classmethod
+    def from_columns(cls, case_ids: list, groups: list, regions: list, scores) -> "ScoreTable":
+        table = cls.__new__(cls)
+        table._set(case_ids, groups, regions, scores)
+        return table
+
+    def _set(self, case_ids, groups, regions, scores) -> None:
+        scores = np.asarray(scores, dtype=float)
+        if not len(case_ids) == len(groups) == len(regions) == scores.size or scores.ndim != 1:
+            raise ValueError("case_ids, groups, regions and scores must be aligned 1-d columns")
+        outside = np.flatnonzero(~((scores >= 0.0) & (scores <= 1.0)))
+        if outside.size:
+            i = int(outside[0])
+            raise ValueError(f"row {i}: score {float(scores[i])} outside [0, 1]")
+        repeat = _first_repeat(case_ids, regions)
+        if repeat is not None:
+            i = repeat[0]
+            raise ValueError(f"row {i}: duplicate (case_id, region) pair {(case_ids[i], regions[i])}")
+        self.case_ids, self.groups, self.regions, self.scores = case_ids, groups, regions, scores
+
+    @property
+    def rows(self) -> list:
+        return list(self)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return self.scores.size
 
     def __iter__(self):
-        return iter(self.rows)
+        return map(ScoreRow, self.case_ids, self.groups, self.regions, self.scores.tolist())
+
+
+def _first_fault(path, first: int, block) -> str:
+    """The error for the first faulty row of a block that failed its checks."""
+    for lineno, raw in enumerate(block, start=first):
+        if len(raw) != 4:
+            return f"{path}:{lineno}: expected 4 fields, got {len(raw)}"
+        case_id, group, _, score_text = raw
+        if not case_id or not group:
+            return f"{path}:{lineno}: empty case_id or group"
+        try:
+            score = float(score_text)
+        except ValueError:
+            return f"{path}:{lineno}: unparseable score {score_text!r}"
+        if not 0.0 <= score <= 1.0:
+            return f"{path}:{lineno}: score {score_text} outside [0, 1]"
+    raise AssertionError("a block that failed its checks has a faulty row")
+
+
+def _parse_block(block) -> tuple:
+    """``(case_ids, groups, regions, scores)`` columns of a block of rows;
+    ``ValueError`` if any row is faulty."""
+    if set(map(len, block)) != {4}:
+        raise ValueError("malformed row")
+    case_ids, groups, regions, texts = zip(*block)
+    if not (all(case_ids) and all(groups)):
+        raise ValueError("empty case_id or group")
+    scores = np.fromiter(map(float, texts), float, len(texts))
+    if not ((scores >= 0.0) & (scores <= 1.0)).all():
+        raise ValueError("score outside [0, 1]")
+    return case_ids, groups, regions, scores
 
 
 def load_scores(path) -> ScoreTable:
-    """Parse a score CSV, preserving row order; errors name the line."""
-    rows = []
-    seen = {}
+    """Parse a score CSV, preserving row order; errors name the line.
+
+    A malformed row, an unparseable or out-of-range score anywhere in the
+    file is reported before a duplicate (case_id, region) pair.
+    """
+    names: dict = {}
+    case_ids, groups, regions, scores = [], [], [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != HEADER:
             raise ValueError(f"{path}:1: expected header {','.join(HEADER)}, got {header}")
-        for lineno, raw in enumerate(reader, start=2):
-            if len(raw) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(raw)}")
-            case_id, group, region, score_text = raw
-            if not case_id or not group:
-                raise ValueError(f"{path}:{lineno}: empty case_id or group")
+        for first, block in blocks(reader, start=2):
             try:
-                score = float(score_text)
+                ids, block_groups, block_regions, block_scores = _parse_block(block)
             except ValueError:
-                raise ValueError(f"{path}:{lineno}: unparseable score {score_text!r}") from None
-            if not 0.0 <= score <= 1.0:
-                raise ValueError(f"{path}:{lineno}: score {score_text} outside [0, 1]")
-            key = (case_id, region)
-            if key in seen:
-                raise ValueError(
-                    f"{path}:{lineno}: duplicate (case_id, region) pair {key}, "
-                    f"first seen on line {seen[key]}"
-                )
-            seen[key] = lineno
-            rows.append(ScoreRow(case_id, group, region, score))
-    if not rows:
+                raise ValueError(_first_fault(path, first, block)) from None
+            case_ids.extend(ids)
+            groups.extend(map(names.setdefault, block_groups, block_groups))
+            regions.extend(map(names.setdefault, block_regions, block_regions))
+            scores.append(block_scores)
+    if not case_ids:
         raise ValueError(f"{path}: score file has no data rows")
-    return ScoreTable(rows)
+    repeat = _first_repeat(case_ids, regions)
+    if repeat is not None:
+        i, j = repeat
+        raise ValueError(
+            f"{path}:{i + 2}: duplicate (case_id, region) pair {(case_ids[i], regions[i])}, "
+            f"first seen on line {j + 2}"
+        )
+    return ScoreTable.from_columns(case_ids, groups, regions, np.concatenate(scores))
 
 
-def write_scores(table: ScoreTable, path) -> None:
+def write_scores(table, path) -> None:
     """Write the canonical form: header, repr floats, newline-terminated.
 
+    ``table`` is a :class:`ScoreTable` or any iterable of :class:`ScoreRow`.
     ``write_scores(load_scores(p), p2)`` reproduces canonical files
     byte-for-byte.  The file is replaced whole, never left half-written.
     """
     with atomic_write(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(HEADER)
-        for row in table:
-            writer.writerow([row.case_id, row.group, row.region, repr(float(row.score))])
+        if not isinstance(table, ScoreTable):
+            writer.writerows((r.case_id, r.group, r.region, float(r.score)) for r in table)
+            return
+        for s in range(0, len(table), BLOCK_ROWS):
+            e = s + BLOCK_ROWS
+            columns = (table.case_ids, table.groups, table.regions)
+            writer.writerows(zip(*(c[s:e] for c in columns), table.scores[s:e].tolist()))

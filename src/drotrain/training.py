@@ -50,7 +50,7 @@ from .mlp import (
     weighted_loss_gradient,
 )
 from .sampler import HardnessWeightedSampler, SamplerConfig, UniformReplacementSampler
-from .scores import ScoreRow, ScoreTable
+from .scores import ScoreTable
 
 __all__ = [
     "SCORE_REGION",
@@ -360,11 +360,12 @@ def cross_validate(dataset: Dataset, hidden_dims, config: TrainConfig) -> CrossV
             states[f].params, dataset.features[val_idx], dataset.labels[val_idx]
         )
     held_out = np.sort(np.concatenate([val_idx for _, val_idx in splits]))
-    table = ScoreTable(
-        [
-            ScoreRow(dataset.case_ids[i], dataset.groups[i], SCORE_REGION, float(scores[i]))
-            for i in held_out
-        ]
+    rows = held_out.tolist()
+    table = ScoreTable.from_columns(
+        [dataset.case_ids[i] for i in rows],
+        [dataset.groups[i] for i in rows],
+        [SCORE_REGION] * len(rows),
+        scores[held_out],
     )
     return CrossValResult(dims, states, fold_configs, splits, table)
 

@@ -2,12 +2,14 @@
 
 Everything here deliberately avoids the library's own code paths: the
 log-sum-exp oracle runs in 50-digit decimal arithmetic, the simplex oracle
-finds maximizers by exhaustive grid search, and the percentile oracle is a
-plain sort-and-index over Python lists.
+finds maximizers by exhaustive grid search, the percentile oracle is a
+plain sort-and-index over Python lists, and the CSV writers format one row
+at a time with an explicit ``repr`` per float.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from decimal import Decimal, localcontext
 
@@ -88,3 +90,25 @@ def replacement_sgd_oracle(X, y, weights, biases, draw, steps: int, learning_rat
             weights[i] = weights[i] - learning_rate * g_w
             biases[i] = biases[i] - learning_rate * g_b
     return weights, biases
+
+
+def write_csv_rows(dataset, path) -> None:
+    """The dataset CSV written one row at a time, each float by ``repr``."""
+    d = dataset.features.shape[1]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["case_id", "group", "label"] + [f"f{j}" for j in range(d)])
+        for i in range(len(dataset)):
+            writer.writerow(
+                [dataset.case_ids[i], dataset.groups[i], int(dataset.labels[i])]
+                + [repr(float(v)) for v in dataset.features[i]]
+            )
+
+
+def write_scores_rows(rows, path) -> None:
+    """The score CSV written one ``ScoreRow`` at a time, each score by ``repr``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["case_id", "group", "region", "score"])
+        for row in rows:
+            writer.writerow([row.case_id, row.group, row.region, repr(float(row.score))])

@@ -283,7 +283,8 @@ class TestAcceptance:
               },
               "seeds": [0]
             }
-            """
+            """,
+            encoding="utf-8",
         )
         env = {k: v for k, v in os.environ.items() if k != "DRO_SEED"}
 
@@ -304,7 +305,7 @@ class TestAcceptance:
                 ],
             ]
             for cmd in commands:
-                done = subprocess.run(cmd, env=env, capture_output=True, text=True)
+                done = subprocess.run(cmd, env=env, capture_output=True, encoding="utf-8")
                 assert done.returncode == 0, f"{cmd[3:]} failed: {done.stderr}"
 
         def tree(root):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from drotrain import datasets
+from drotrain import cli, datasets
 from drotrain.cli import main
 from drotrain.scores import load_scores
 
@@ -37,7 +37,7 @@ def _write_config(tmp_path, out_dir, **overrides):
     for key, value in overrides.items():
         doc[key] = value
     path = tmp_path / f"config_{out_dir.name}.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc), encoding="utf-8")
     return path
 
 
@@ -80,14 +80,14 @@ class TestGenerate:
 
     def test_invalid_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
+        path.write_text("{not json", encoding="utf-8")
         assert main(["generate", "--config", str(path)]) == 2
         assert "JSON" in capsys.readouterr().err
 
     def test_no_out_dir_anywhere(self, tmp_path, capsys):
         doc = json.loads(json.dumps(BASE_CONFIG))
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["generate", "--config", str(path)]) == 2
         assert "output directory" in capsys.readouterr().err
 
@@ -182,14 +182,31 @@ class TestTrain:
         out = tmp_path / "o"
         config = _write_config(tmp_path, out)
         assert main(["generate", "--config", str(config)]) == 0
-        lines = (out / "dataset.csv").read_text().splitlines()
+        lines = (out / "dataset.csv").read_text(encoding="utf-8").splitlines()
         cells = lines[4].split(",")
         cells[4] = value
         lines[4] = ",".join(cells)
-        (out / "dataset.csv").write_text("\n".join(lines) + "\n")
+        (out / "dataset.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert main(["train", "--config", str(config), "--arm", "dro"]) == 2
         assert "dataset.csv:5: non-finite" in capsys.readouterr().err
         assert not (out / "dro").exists()
+
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [(2, "x", "unparseable label 'x'"), (4, "abc", "unparseable feature f1 'abc'")],
+    )
+    def test_unparseable_value_rejected_before_training(self, tmp_path, capsys, column, value, message):
+        out = tmp_path / "o"
+        config = _write_config(tmp_path, out)
+        assert main(["generate", "--config", str(config)]) == 0
+        lines = (out / "dataset.csv").read_text(encoding="utf-8").splitlines()
+        cells = lines[4].split(",")
+        cells[column] = value
+        lines[4] = ",".join(cells)
+        (out / "dataset.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["train", "--config", str(config), "--arm", "erm"]) == 2
+        assert f"dataset.csv:5: {message}" in capsys.readouterr().err
+        assert not (out / "erm").exists()
 
     @pytest.mark.parametrize("n_features, n_classes", [(5, 3), (4, 4)])
     def test_mismatched_test_dataset_rejected_before_training(self, tmp_path, capsys, n_features, n_classes):
@@ -299,13 +316,23 @@ class TestReport:
         assert code == 0
         stdout = capsys.readouterr().out
         assert "deltas vs baseline" in stdout
-        comparison = (report_dir / "comparison.txt").read_text()
+        comparison = (report_dir / "comparison.txt").read_text(encoding="utf-8")
         assert "+0.0" in comparison
         assert (report_dir / "comparison.json").exists()
 
+    def test_failed_report_write_keeps_previous_files(self, tmp_path, monkeypatch):
+        path = self._scores_path(tmp_path)
+        report_dir = tmp_path / "report"
+        assert main(["report", str(path), "--baseline", str(path), "--out", str(report_dir)]) == 0
+        before = {p.name: p.read_bytes() for p in report_dir.iterdir()}
+        # A lone surrogate cannot be encoded as UTF-8, so writing report.json fails.
+        monkeypatch.setattr(cli, "render_json", lambda report: "{" * 100_000 + "\udc80")
+        assert main(["report", str(path), "--baseline", str(path), "--out", str(report_dir)]) == 1
+        assert {p.name: p.read_bytes() for p in report_dir.iterdir()} == before
+
     def test_malformed_scores_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
-        path.write_text("case_id,group,region,score\nc0,g,r,2.0\n")
+        path.write_text("case_id,group,region,score\nc0,g,r,2.0\n", encoding="utf-8")
         assert main(["report", str(path)]) == 2
         assert ":2:" in capsys.readouterr().err
 
@@ -315,7 +342,7 @@ class TestReport:
     def test_mismatched_baseline_exit_2(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
-        a.write_text("case_id,group,region,score\nc0,g1,r,0.5\n")
-        b.write_text("case_id,group,region,score\nc0,g2,r,0.5\n")
+        a.write_text("case_id,group,region,score\nc0,g1,r,0.5\n", encoding="utf-8")
+        b.write_text("case_id,group,region,score\nc0,g2,r,0.5\n", encoding="utf-8")
         assert main(["report", str(a), "--baseline", str(b)]) == 2
         assert "strata" in capsys.readouterr().err

@@ -1,8 +1,12 @@
 """Verification tests for the stratified generator, CSV round-trip, and folds."""
 
+import re
+
 import numpy as np
 import pytest
+from oracles import write_csv_rows
 
+from drotrain._files import BLOCK_ROWS
 from drotrain.datasets import (
     MAJORITY,
     MINORITY,
@@ -13,6 +17,10 @@ from drotrain.datasets import (
     read_csv,
     write_csv,
 )
+
+# Floats whose text form is easy to get wrong: a signed zero, the smallest
+# subnormal, exponent forms on both sides, and a sum that is not 0.3.
+ADVERSARIAL_FEATURES = [-0.0, 5e-324, 1e16, 1e-05, 0.1 + 0.2]
 
 # Central 99% interval for Binomial(2000, 0.05), from the exact quantile
 # function (ppf at 0.005 and 0.995): [76, 126].
@@ -146,20 +154,131 @@ class TestCsvRoundTrip:
 
     def test_header_validated(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("case,group,label,f0\nc0,majority,0,1.0\n")
+        path.write_text("case,group,label,f0\nc0,majority,0,1.0\n", encoding="utf-8")
         with pytest.raises(ValueError):
             read_csv(path)
 
     def test_field_count_validated(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("case_id,group,label,f0\nc0,majority,0\n")
+        path.write_text("case_id,group,label,f0\nc0,majority,0\n", encoding="utf-8")
         with pytest.raises(ValueError):
             read_csv(path)
 
     def test_empty_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
-        path.write_text("case_id,group,label,f0\n")
+        path.write_text("case_id,group,label,f0\n", encoding="utf-8")
         with pytest.raises(ValueError):
+            read_csv(path)
+
+
+    def test_group_names_shared(self, tmp_path):
+        """Each distinct group name is held as one string object."""
+        path = tmp_path / "ds.csv"
+        write_csv(generate(SyntheticConfig(n_samples=600, n_features=4, n_classes=3), 2), path)
+        groups = read_csv(path).groups
+        assert len({id(g) for g in groups}) == len(set(groups)) == 2
+
+
+def _adversarial_dataset():
+    """Rows a CSV writer must quote or format with care."""
+    features = np.array([ADVERSARIAL_FEATURES, [1.5, -2.0, 1e300, -1e-300, 0.0], [7.0, 8.0, 9.0, 10.0, 11.0]])
+    return Dataset(
+        features,
+        np.array([12, 0, 10], dtype=np.int64),
+        ["minority", 'grp "q"', "majority"],
+        ["case,with,commas", 'say "hi"', "café_ñ_✓"],
+    )
+
+
+class TestCsvBytesMatchRowOracle:
+    """The column writer emits the bytes of a one-row-at-a-time writer."""
+
+    def _assert_same_bytes(self, dataset, tmp_path):
+        ours, oracle = tmp_path / "ours.csv", tmp_path / "oracle.csv"
+        write_csv(dataset, ours)
+        write_csv_rows(dataset, oracle)
+        assert ours.read_bytes() == oracle.read_bytes()
+        return read_csv(ours)
+
+    def test_generated_dataset_longer_than_a_block(self, tmp_path):
+        n = 2 * BLOCK_ROWS + 37
+        ds = generate(SyntheticConfig(n_samples=n, n_features=6, n_classes=4), 21)
+        back = self._assert_same_bytes(ds, tmp_path)
+        np.testing.assert_array_equal(back.features, ds.features)
+        np.testing.assert_array_equal(back.labels, ds.labels)
+        assert back.case_ids == ds.case_ids and back.groups == ds.groups
+
+    def test_adversarial_rows(self, tmp_path):
+        ds = _adversarial_dataset()
+        back = self._assert_same_bytes(ds, tmp_path)
+        assert back.features.tobytes() == ds.features.tobytes()
+        assert np.signbit(back.features[0, 0])
+        assert back.labels.tolist() == [12, 0, 10]
+        assert back.case_ids == ds.case_ids and back.groups == ds.groups
+
+
+def _corrupt(path, line: int, column: int, text: str) -> None:
+    """Replace one field of a written CSV; ``line`` counts the header as 1."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    cells = lines[line - 1].split(",")
+    cells[column] = text
+    lines[line - 1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _at(path, line: int) -> str:
+    """Regex for the start of an error message naming ``path`` and ``line``."""
+    return f"^{re.escape(str(path))}:{line}: "
+
+
+class TestCsvParseErrors:
+    """Every malformed value is reported with the file and its line."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "ds.csv"
+        write_csv(generate(SyntheticConfig(n_samples=3 * BLOCK_ROWS, n_features=4, n_classes=3), 4), path)
+        return path
+
+    @pytest.mark.parametrize(
+        "column, text, message",
+        [
+            (2, "x", "unparseable label 'x'"),
+            (2, "1.0", "unparseable label '1.0'"),
+            (5, "abc", "unparseable feature f2 'abc'"),
+            (3, "", "unparseable feature f0 ''"),
+            (2, "99999999999999999999", "label 99999999999999999999 does not fit in 64 bits"),
+        ],
+    )
+    def test_bad_value_names_file_and_line(self, path, column, text, message):
+        _corrupt(path, 3, column, text)
+        with pytest.raises(ValueError) as err:
+            read_csv(path)
+        assert str(err.value) == f"{path}:3: {message}"
+
+    @pytest.mark.parametrize("line", [BLOCK_ROWS + 1, BLOCK_ROWS + 2, 2 * BLOCK_ROWS + 9])
+    def test_line_counted_across_blocks(self, path, line):
+        """Line 2 starts the first block, so BLOCK_ROWS + 2 starts the second."""
+        _corrupt(path, line, 4, "abc")
+        with pytest.raises(ValueError, match=_at(path, line) + "unparseable feature f1 'abc'$"):
+            read_csv(path)
+
+    def test_field_count_in_second_block(self, path):
+        line = BLOCK_ROWS + 7
+        _corrupt(path, line, 4, "1.0,2.0")
+        with pytest.raises(ValueError, match=_at(path, line) + "expected 7 fields, got 8$"):
+            read_csv(path)
+
+    def test_first_faulty_row_of_a_block_wins(self, path):
+        """A block's faults are reported in row order, whatever their kind."""
+        _corrupt(path, 6, 4, "1.0,2.0")
+        _corrupt(path, 5, 3, "abc")
+        with pytest.raises(ValueError, match=_at(path, 5) + "unparseable feature f0"):
+            read_csv(path)
+
+    def test_non_finite_names_line(self, path):
+        _corrupt(path, BLOCK_ROWS + 4, 6, "inf")
+        with pytest.raises(ValueError, match=_at(path, BLOCK_ROWS + 4) + "non-finite feature value$"):
             read_csv(path)
 
 

@@ -17,7 +17,7 @@ from drotrain.metrics import (
     render_text,
     render_value,
 )
-from drotrain.scores import ScoreRow, ScoreTable
+from drotrain.scores import ScoreRow, ScoreTable, load_scores, write_scores
 from oracles import percentile_sort_oracle
 
 
@@ -105,6 +105,34 @@ class TestPercentileReport:
                 assert np.isclose(stats.mean, 100.0 * sum(scores) / len(scores), atol=1e-10)
                 for name, alpha in (("p50", 0.50), ("p25", 0.25), ("p10", 0.10), ("p5", 0.05)):
                     assert getattr(stats, name) == 100.0 * percentile_sort_oracle(scores, alpha)
+
+    def test_column_table_reports_like_row_table(self, tmp_path):
+        """Tables built from columns, from rows and read back from a file
+        render the same bytes, with groups and regions in first-seen order."""
+        rng = np.random.default_rng(41)
+        n = 700
+        ids = [f"case_{i // 2:03d}" for i in range(n)]
+        case_groups = rng.choice(["majority", "minority", "rare"], size=n // 2, p=[0.8, 0.15, 0.05])
+        groups = [str(case_groups[i // 2]) for i in range(n)]
+        regions = ["right" if i % 2 else "left" for i in range(n)]
+        values = rng.random(n)
+        by_rows = ScoreTable([ScoreRow(*row) for row in zip(ids, groups, regions, values.tolist())])
+        by_columns = ScoreTable.from_columns(ids, groups, regions, values)
+        path = tmp_path / "scores.csv"
+        write_scores(by_columns, path)
+        expected = percentile_report(by_rows)
+        assert [g.name for g in expected.groups] == list(dict.fromkeys(groups))
+        assert [r for r, _ in expected.groups[0].regions] == ["left", "right"]
+        for table in (by_columns, load_scores(path)):
+            report = percentile_report(table)
+            assert render_json(report) == render_json(expected)
+            assert render_text(report) == render_text(expected)
+        # Each stratum's scores are summed in row order, as a per-row pass would.
+        for block in expected.groups:
+            for region, stats in block.regions:
+                rows = [v for v, g, r in zip(values.tolist(), groups, regions) if (g, r) == (block.name, region)]
+                assert stats.mean == 100.0 * float(np.asarray(rows).mean())
+                assert stats.std == 100.0 * float(np.asarray(rows).std())
 
     def test_percentiles_monotone(self):
         rng = np.random.default_rng(11)

@@ -1,7 +1,12 @@
 """Verification tests for score-table parsing, validation, and round-trip."""
 
-import pytest
+import re
 
+import numpy as np
+import pytest
+from oracles import write_scores_rows
+
+from drotrain._files import BLOCK_ROWS
 from drotrain.scores import ScoreRow, ScoreTable, load_scores, write_scores
 
 HEADER = "case_id,group,region,score\n"
@@ -9,7 +14,7 @@ HEADER = "case_id,group,region,score\n"
 
 def _write(tmp_path, body, name="scores.csv"):
     path = tmp_path / name
-    path.write_text(HEADER + body)
+    path.write_text(HEADER + body, encoding="utf-8")
     return path
 
 
@@ -57,7 +62,7 @@ class TestLoadScores:
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("id,group,region,score\nc0,g,r,0.5\n")
+        path.write_text("id,group,region,score\nc0,g,r,0.5\n", encoding="utf-8")
         with pytest.raises(ValueError, match=":1:"):
             load_scores(path)
 
@@ -99,3 +104,123 @@ class TestScoreTableValidation:
     def test_duplicates_checked(self):
         with pytest.raises(ValueError):
             ScoreTable([ScoreRow("c", "g", "r", 0.5), ScoreRow("c", "g2", "r", 0.6)])
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="^row 1: score nan outside"):
+            ScoreTable.from_columns(["a", "b"], ["g", "g"], ["r", "r"], [0.5, float("nan")])
+
+    def test_column_messages_match_row_messages(self):
+        columns = (["a", "b", "a"], ["g", "g", "g"], ["r", "r", "r"])
+        rows = [ScoreRow(c, g, r, 0.5) for c, g, r in zip(*columns)]
+        with pytest.raises(ValueError) as from_rows:
+            ScoreTable(rows)
+        with pytest.raises(ValueError) as from_columns:
+            ScoreTable.from_columns(*columns, np.full(3, 0.5))
+        assert str(from_rows.value) == str(from_columns.value)
+        assert str(from_rows.value) == "row 2: duplicate (case_id, region) pair ('a', 'r')"
+
+    def test_pairs_not_case_ids_must_be_unique(self):
+        table = ScoreTable.from_columns(["a", "a", "b"], ["g"] * 3, ["left", "right", "left"], [0.1, 0.2, 0.3])
+        assert len(table) == 3
+        with pytest.raises(ValueError, match="^row 3: duplicate .* \\('a', 'right'\\)"):
+            ScoreTable.from_columns(["a", "a", "b", "a"], ["g"] * 4, ["left", "right", "left", "right"], [0.1] * 4)
+
+    def test_misaligned_columns_rejected(self):
+        with pytest.raises(ValueError, match="aligned"):
+            ScoreTable.from_columns(["a", "b"], ["g"], ["r", "r"], [0.1, 0.2])
+
+
+class TestScoreTableColumns:
+    def test_rows_round_trip(self):
+        rows = [ScoreRow(f"c{i}", "g" if i % 3 else "h", "r", i / 10) for i in range(7)]
+        table = ScoreTable(rows)
+        assert len(table) == 7
+        assert table.rows == rows == list(table)
+        assert table.case_ids == [r.case_id for r in rows]
+        assert table.scores.dtype == np.float64
+        assert table.scores.tolist() == [r.score for r in rows]
+
+    def test_column_and_row_tables_agree(self):
+        rng = np.random.default_rng(3)
+        values = rng.random(40)
+        ids = [f"c{i}" for i in range(40)]
+        groups = ["g" if v < 0.7 else "h" for v in values]
+        by_columns = ScoreTable.from_columns(ids, groups, ["r"] * 40, values)
+        by_rows = ScoreTable([ScoreRow(c, g, "r", float(v)) for c, g, v in zip(ids, groups, values)])
+        assert by_columns.rows == by_rows.rows
+
+
+def _adversarial_rows():
+    """Rows a CSV writer must quote or format with care."""
+    values = [-0.0, 5e-324, 1e-05, 0.1 + 0.2, 1.0, 0.0, 0.9999999999999999]
+    ids = ["case,with,commas", 'say "hi"', "café_ñ_✓", "plain", "a\nb", " lead", "trail "]
+    return [ScoreRow(c, "grp,1" if i % 2 else 'g"2', "overall", v) for i, (c, v) in enumerate(zip(ids, values))]
+
+
+class TestWriteScoresMatchesRowOracle:
+    """The column writer emits the bytes of a one-row-at-a-time writer."""
+
+    def _assert_same_bytes(self, table, rows, tmp_path):
+        ours, oracle = tmp_path / "ours.csv", tmp_path / "oracle.csv"
+        write_scores(table, ours)
+        write_scores_rows(rows, oracle)
+        assert ours.read_bytes() == oracle.read_bytes()
+        return load_scores(ours)
+
+    def test_table_longer_than_a_block(self, tmp_path):
+        rng = np.random.default_rng(8)
+        rows = [
+            ScoreRow(f"case_{i:04d}", "minority" if i % 7 == 0 else "majority", "overall", float(v))
+            for i, v in enumerate(rng.random(2 * BLOCK_ROWS + 11))
+        ]
+        back = self._assert_same_bytes(ScoreTable(rows), rows, tmp_path)
+        assert back.rows == rows
+
+    def test_adversarial_rows(self, tmp_path):
+        rows = _adversarial_rows()
+        back = self._assert_same_bytes(ScoreTable(rows), rows, tmp_path)
+        assert back.rows == rows
+        assert np.signbit(back.scores[0])
+
+    def test_any_iterable_of_rows(self, tmp_path):
+        rows = _adversarial_rows()
+        self._assert_same_bytes(iter(rows), rows, tmp_path)
+
+
+class TestLoadScoresAcrossBlocks:
+    """Line numbers stay right past the first block of rows."""
+
+    @pytest.fixture
+    def lines(self):
+        return [f"c{i},g,r,0.5" for i in range(2 * BLOCK_ROWS)]
+
+    def _load(self, tmp_path, lines):
+        path = _write(tmp_path, "\n".join(lines) + "\n")
+        return path, lambda: load_scores(path)
+
+    def test_bad_score_in_second_block(self, tmp_path, lines):
+        line = BLOCK_ROWS + 5
+        lines[line - 2] = "cx,g,r,abc"
+        path, load = self._load(tmp_path, lines)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{line}: unparseable score 'abc'$"):
+            load()
+
+    def test_duplicate_spanning_blocks(self, tmp_path, lines):
+        line = BLOCK_ROWS + 9
+        lines[line - 2] = "c3,g,r,0.25"
+        path, load = self._load(tmp_path, lines)
+        with pytest.raises(ValueError, match=f":{line}: duplicate .* first seen on line 5$"):
+            load()
+
+    def test_first_faulty_row_of_a_block_wins(self, tmp_path, lines):
+        lines[BLOCK_ROWS + 3] = "c,g,r"
+        lines[BLOCK_ROWS + 2] = "cx,g,r,1.5"
+        path, load = self._load(tmp_path, lines)
+        with pytest.raises(ValueError, match=f":{BLOCK_ROWS + 4}: score 1.5 outside"):
+            load()
+
+    def test_empty_group_in_second_block(self, tmp_path, lines):
+        lines[BLOCK_ROWS] = "cx,,r,0.5"
+        path, load = self._load(tmp_path, lines)
+        with pytest.raises(ValueError, match=f":{BLOCK_ROWS + 2}: empty case_id or group$"):
+            load()

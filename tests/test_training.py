@@ -7,7 +7,8 @@ import pytest
 from oracles import replacement_sgd_oracle
 
 from drotrain import scores, training
-from drotrain.datasets import Dataset
+from drotrain._files import BLOCK_ROWS
+from drotrain.datasets import Dataset, SyntheticConfig, generate, write_csv
 from drotrain.mlp import (
     MAX_LOSS,
     MLPParams,
@@ -426,3 +427,20 @@ class TestCrashSafeWrites:
             scores.write_scores(rows_then_crash(), path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["scores.csv"]
+
+    def test_failed_dataset_write_keeps_previous_file(self, tmp_path):
+        dataset = generate(SyntheticConfig(n_samples=3 * BLOCK_ROWS, n_features=4, n_classes=3), 1)
+        path = tmp_path / "dataset.csv"
+        write_csv(dataset, path)
+        before = path.read_bytes()
+
+        class Unwritable:
+            def __str__(self):
+                raise RuntimeError("killed")
+
+        # Rows of the first block are emitted before the second block fails.
+        dataset.case_ids[BLOCK_ROWS + 3] = Unwritable()
+        with pytest.raises(RuntimeError, match="killed"):
+            write_csv(dataset, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["dataset.csv"]
