@@ -45,6 +45,31 @@ def _first_repeat(case_ids, regions):
     raise AssertionError("a repeated pair was not found")
 
 
+def _checked_scores(case_ids, groups, regions, scores) -> np.ndarray:
+    """``scores`` as an f64 array, once the columns pass the table's checks.
+
+    The first faulty row in row order is reported, as a row-by-row pass
+    that checks each row's score before its pair would report it.  Scores
+    must be real numbers: a string such as ``'0.5'`` is rejected, not
+    converted.
+    """
+    values = np.asarray(scores)
+    if values.dtype.kind not in "biuf":
+        raise TypeError(f"scores must be real numbers, got an array of {values.dtype}")
+    scores = values.astype(float, copy=False)
+    if not len(case_ids) == len(groups) == len(regions) == scores.size or scores.ndim != 1:
+        raise ValueError("case_ids, groups, regions and scores must be aligned 1-d columns")
+    outside = np.flatnonzero(~((scores >= 0.0) & (scores <= 1.0)))
+    repeat = _first_repeat(case_ids, regions)
+    if outside.size and (repeat is None or outside[0] <= repeat[0]):
+        i = int(outside[0])
+        raise ValueError(f"row {i}: score {float(scores[i])} outside [0, 1]")
+    if repeat is not None:
+        i = repeat[0]
+        raise ValueError(f"row {i}: duplicate (case_id, region) pair {(case_ids[i], regions[i])}")
+    return scores
+
+
 class ScoreTable:
     """Score columns, in row order, with unique (case_id, region) pairs.
 
@@ -55,32 +80,21 @@ class ScoreTable:
 
     def __init__(self, rows):
         rows = list(rows)
-        self._set(
-            [r.case_id for r in rows],
-            [r.group for r in rows],
-            [r.region for r in rows],
-            [r.score for r in rows],
-        )
+        self.case_ids = [r.case_id for r in rows]
+        self.groups = [r.group for r in rows]
+        self.regions = [r.region for r in rows]
+        self.scores = _checked_scores(self.case_ids, self.groups, self.regions, [r.score for r in rows])
 
     @classmethod
     def from_columns(cls, case_ids: list, groups: list, regions: list, scores) -> "ScoreTable":
-        table = cls.__new__(cls)
-        table._set(case_ids, groups, regions, scores)
-        return table
+        return cls._of_checked(case_ids, groups, regions, _checked_scores(case_ids, groups, regions, scores))
 
-    def _set(self, case_ids, groups, regions, scores) -> None:
-        scores = np.asarray(scores, dtype=float)
-        if not len(case_ids) == len(groups) == len(regions) == scores.size or scores.ndim != 1:
-            raise ValueError("case_ids, groups, regions and scores must be aligned 1-d columns")
-        outside = np.flatnonzero(~((scores >= 0.0) & (scores <= 1.0)))
-        if outside.size:
-            i = int(outside[0])
-            raise ValueError(f"row {i}: score {float(scores[i])} outside [0, 1]")
-        repeat = _first_repeat(case_ids, regions)
-        if repeat is not None:
-            i = repeat[0]
-            raise ValueError(f"row {i}: duplicate (case_id, region) pair {(case_ids[i], regions[i])}")
-        self.case_ids, self.groups, self.regions, self.scores = case_ids, groups, regions, scores
+    @classmethod
+    def _of_checked(cls, case_ids: list, groups: list, regions: list, scores: np.ndarray) -> "ScoreTable":
+        """A table of columns that have passed the checks already."""
+        table = cls.__new__(cls)
+        table.case_ids, table.groups, table.regions, table.scores = case_ids, groups, regions, scores
+        return table
 
     @property
     def rows(self) -> list:
@@ -93,21 +107,34 @@ class ScoreTable:
         return map(ScoreRow, self.case_ids, self.groups, self.regions, self.scores.tolist())
 
 
-def _first_fault(path, first: int, block) -> str:
-    """The error for the first faulty row of a block that failed its checks."""
+def _first_fault(path, first: int, block) -> tuple:
+    """``(line, error)`` of the first faulty row of a block that failed its
+    checks."""
     for lineno, raw in enumerate(block, start=first):
         if len(raw) != 4:
-            return f"{path}:{lineno}: expected 4 fields, got {len(raw)}"
+            return lineno, f"{path}:{lineno}: expected 4 fields, got {len(raw)}"
         case_id, group, _, score_text = raw
         if not case_id or not group:
-            return f"{path}:{lineno}: empty case_id or group"
+            return lineno, f"{path}:{lineno}: empty case_id or group"
         try:
             score = float(score_text)
         except ValueError:
-            return f"{path}:{lineno}: unparseable score {score_text!r}"
+            return lineno, f"{path}:{lineno}: unparseable score {score_text!r}"
         if not 0.0 <= score <= 1.0:
-            return f"{path}:{lineno}: score {score_text} outside [0, 1]"
+            return lineno, f"{path}:{lineno}: score {score_text} outside [0, 1]"
     raise AssertionError("a block that failed its checks has a faulty row")
+
+
+def _check_pairs(path, case_ids, regions) -> None:
+    """Reject the first repeated (case_id, region) pair, naming both lines
+    (row ``i`` of the file is line ``i + 2``)."""
+    repeat = _first_repeat(case_ids, regions)
+    if repeat is not None:
+        i, j = repeat
+        raise ValueError(
+            f"{path}:{i + 2}: duplicate (case_id, region) pair {(case_ids[i], regions[i])}, "
+            f"first seen on line {j + 2}"
+        )
 
 
 def _parse_block(block) -> tuple:
@@ -127,8 +154,9 @@ def _parse_block(block) -> tuple:
 def load_scores(path) -> ScoreTable:
     """Parse a score CSV, preserving row order; errors name the line.
 
-    A malformed row, an unparseable or out-of-range score anywhere in the
-    file is reported before a duplicate (case_id, region) pair.
+    Of several faulty rows, the first in the file is reported.  Each check
+    runs once: scores block by block as they are parsed, pairs once over
+    the whole file (or, when a block fails, over the rows before its fault).
     """
     names: dict = {}
     case_ids, groups, regions, scores = [], [], [], []
@@ -141,37 +169,34 @@ def load_scores(path) -> ScoreTable:
             try:
                 ids, block_groups, block_regions, block_scores = _parse_block(block)
             except ValueError:
-                raise ValueError(_first_fault(path, first, block)) from None
+                lineno, error = _first_fault(path, first, block)
+                before = block[: lineno - first]
+                _check_pairs(path, case_ids + [r[0] for r in before], regions + [r[2] for r in before])
+                raise ValueError(error) from None
             case_ids.extend(ids)
             groups.extend(map(names.setdefault, block_groups, block_groups))
             regions.extend(map(names.setdefault, block_regions, block_regions))
             scores.append(block_scores)
     if not case_ids:
         raise ValueError(f"{path}: score file has no data rows")
-    repeat = _first_repeat(case_ids, regions)
-    if repeat is not None:
-        i, j = repeat
-        raise ValueError(
-            f"{path}:{i + 2}: duplicate (case_id, region) pair {(case_ids[i], regions[i])}, "
-            f"first seen on line {j + 2}"
-        )
-    return ScoreTable.from_columns(case_ids, groups, regions, np.concatenate(scores))
+    _check_pairs(path, case_ids, regions)
+    return ScoreTable._of_checked(case_ids, groups, regions, np.concatenate(scores))
 
 
 def write_scores(table, path) -> None:
     """Write the canonical form: header, repr floats, newline-terminated.
 
-    ``table`` is a :class:`ScoreTable` or any iterable of :class:`ScoreRow`.
+    ``table`` is a :class:`ScoreTable` or any iterable of :class:`ScoreRow`;
+    rows are made into a table first, so they pass the table's checks.
     ``write_scores(load_scores(p), p2)`` reproduces canonical files
     byte-for-byte.  The file is replaced whole, never left half-written.
     """
+    if not isinstance(table, ScoreTable):
+        table = ScoreTable(table)
+    columns = (table.case_ids, table.groups, table.regions)
     with atomic_write(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(HEADER)
-        if not isinstance(table, ScoreTable):
-            writer.writerows((r.case_id, r.group, r.region, float(r.score)) for r in table)
-            return
         for s in range(0, len(table), BLOCK_ROWS):
             e = s + BLOCK_ROWS
-            columns = (table.case_ids, table.groups, table.regions)
             writer.writerows(zip(*(c[s:e] for c in columns), table.scores[s:e].tolist()))

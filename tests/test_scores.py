@@ -125,6 +125,30 @@ class TestScoreTableValidation:
         with pytest.raises(ValueError, match="^row 3: duplicate .* \\('a', 'right'\\)"):
             ScoreTable.from_columns(["a", "a", "b", "a"], ["g"] * 4, ["left", "right", "left", "right"], [0.1] * 4)
 
+    @pytest.mark.parametrize(
+        "ids, values, message",
+        [
+            (["a", "a", "b"], [0.5, 0.5, float("nan")], "row 1: duplicate (case_id, region) pair ('a', 'r')"),
+            (["a", "b", "a"], [0.5, float("nan"), 0.5], "row 1: score nan outside [0, 1]"),
+            (["a", "a"], [0.5, 1.5], "row 1: score 1.5 outside [0, 1]"),
+        ],
+        ids=["duplicate-first", "range-first", "same-row"],
+    )
+    def test_first_faulty_row_wins(self, ids, values, message):
+        """A row's score is checked before its pair, and rows in order."""
+        columns = (ids, ["g"] * len(ids), ["r"] * len(ids))
+        with pytest.raises(ValueError) as from_columns:
+            ScoreTable.from_columns(*columns, values)
+        with pytest.raises(ValueError) as from_rows:
+            ScoreTable([ScoreRow(*fields) for fields in zip(*columns, values)])
+        assert str(from_columns.value) == str(from_rows.value) == message
+
+    def test_string_scores_rejected(self):
+        with pytest.raises(TypeError, match="real numbers"):
+            ScoreTable([ScoreRow("a", "g", "r", 0.25), ScoreRow("b", "g", "r", "0.5")])
+        with pytest.raises(TypeError, match="real numbers"):
+            ScoreTable.from_columns(["a"], ["g"], ["r"], ["0.5"])
+
     def test_misaligned_columns_rejected(self):
         with pytest.raises(ValueError, match="aligned"):
             ScoreTable.from_columns(["a", "b"], ["g"], ["r", "r"], [0.1, 0.2])
@@ -223,4 +247,25 @@ class TestLoadScoresAcrossBlocks:
         lines[BLOCK_ROWS] = "cx,,r,0.5"
         path, load = self._load(tmp_path, lines)
         with pytest.raises(ValueError, match=f":{BLOCK_ROWS + 2}: empty case_id or group$"):
+            load()
+
+    @pytest.mark.parametrize("fault", ["cx,g,r,abc", "cx,g,r,1.5", "cx,g", "cx,,r,0.5"])
+    def test_duplicate_before_a_fault_wins(self, tmp_path, lines, fault):
+        """Of a repeated pair and a faulty row, the earlier line is reported,
+        whether or not they share a block."""
+        for dup_line, fault_line in [(6, BLOCK_ROWS + 6), (BLOCK_ROWS + 3, BLOCK_ROWS + 6)]:
+            rows = list(lines)
+            rows[dup_line - 2] = "c2,g,r,0.5"
+            rows[fault_line - 2] = fault
+            path, load = self._load(tmp_path, rows)
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{dup_line}: duplicate .* first seen on line 4$"):
+                load()
+
+    @pytest.mark.parametrize("dup_line", [BLOCK_ROWS + 8, 2 * BLOCK_ROWS])
+    def test_fault_before_a_duplicate_wins(self, tmp_path, lines, dup_line):
+        fault_line = BLOCK_ROWS + 6
+        lines[dup_line - 2] = "c2,g,r,0.5"
+        lines[fault_line - 2] = "cx,g,r,abc"
+        path, load = self._load(tmp_path, lines)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{fault_line}: unparseable score 'abc'$"):
             load()

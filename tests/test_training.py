@@ -428,6 +428,26 @@ class TestCrashSafeWrites:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["scores.csv"]
 
+    def test_failed_score_table_write_keeps_previous_file(self, tmp_path):
+        n = 3 * BLOCK_ROWS
+        table = scores.ScoreTable.from_columns(
+            [f"c{i}" for i in range(n)], ["g"] * n, [SCORE_REGION] * n, np.full(n, 0.5)
+        )
+        path = tmp_path / "scores.csv"
+        scores.write_scores(table, path)
+        before = path.read_bytes()
+
+        class Unwritable:
+            def __str__(self):
+                raise RuntimeError("killed")
+
+        # Rows of the first block are emitted before the second block fails.
+        table.case_ids[BLOCK_ROWS + 3] = Unwritable()
+        with pytest.raises(RuntimeError, match="killed"):
+            scores.write_scores(table, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["scores.csv"]
+
     def test_failed_dataset_write_keeps_previous_file(self, tmp_path):
         dataset = generate(SyntheticConfig(n_samples=3 * BLOCK_ROWS, n_features=4, n_classes=3), 1)
         path = tmp_path / "dataset.csv"
