@@ -45,11 +45,16 @@ class UsageError(Exception):
 def _load_json(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise UsageError(f"{path} must hold a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 def _integer(value, what: str) -> int:

@@ -37,7 +37,7 @@ import numpy as np
 
 from .objectives import optimal_weights
 
-__all__ = ["SamplerConfig", "HardnessWeightedSampler", "UniformReplacementSampler"]
+__all__ = ["SamplerConfig", "HardnessWeightedSampler", "UniformReplacementSampler", "tree_shape"]
 
 
 @dataclass(frozen=True)
@@ -77,6 +77,12 @@ def _block_size(n: int) -> int:
     return max(16, math.isqrt(n // 32))
 
 
+def tree_shape(n: int) -> tuple:
+    """``(leaves per block, blocks)`` of the sum tree for ``n`` samples."""
+    block = _block_size(n)
+    return block, -(-n // block)
+
+
 def _floored_exp(x: np.ndarray) -> None:
     """In-place ``exp(max(x, -700))`` of log masses relative to a maximum.
 
@@ -98,42 +104,55 @@ class HardnessWeightedSampler:
     block's own CDF.  Identical (seed, config, update sequence)
     therefore reproduce identical draw sequences.
 
-    :meth:`stacked` builds M trees of ``n`` leaves each, with one RNG stream
-    per tree, held along a leading axis.  ``update_losses`` then takes
-    ``(M, B)`` arrays and runs the block and block-mass work once for the
-    whole stack; :meth:`unstack` splits a stack into one sampler per tree,
-    viewing its arrays, and each tree draws through its own sampler.  A
-    sampler is the stack of one tree, so each tree of a stack draws exactly
-    as a sampler built alone from its seed and fed the same updates.  ``n``
-    and ``draw_counts`` cover every (tree, case) pair.
+    :meth:`stacked` builds M trees, one per (size, seed) pair, with one RNG
+    stream per tree, held along a leading axis.  The trees of a stack share
+    their :func:`tree_shape`, so their sizes may differ by less than a
+    block, and a shorter tree ends in padding leaves exactly as it would
+    alone.  ``update_losses`` then takes ``(M, B)`` arrays and runs the block
+    and block-mass work once for the whole stack; :meth:`unstack` splits a
+    stack into one sampler per tree, viewing its arrays, and each tree draws
+    through its own sampler.  A sampler is the stack of one tree, so each
+    tree of a stack draws exactly as a sampler built alone from its size and
+    seed and fed the same updates.  ``n`` counts every (tree, case) pair;
+    ``stale_losses``, ``draw_counts`` and ``distribution()`` of a stack have
+    one row per tree, and a shorter tree's row ends in padding: stale loss
+    -inf, count 0, probability 0.
     """
 
     def __init__(self, n: int, config: SamplerConfig | None = None, seed: int = 0):
-        self._setup(n, config, [seed], single=True)
+        self._setup([n], config, [seed], single=True)
 
     @classmethod
-    def stacked(cls, n: int, config: SamplerConfig | None, seeds) -> "HardnessWeightedSampler":
-        """One tree of ``n`` leaves per seed, updated together."""
+    def stacked(cls, sizes, config: SamplerConfig | None, seeds) -> "HardnessWeightedSampler":
+        """One tree per seed, of ``sizes[k]`` leaves for seed k, updated together."""
         sampler = cls.__new__(cls)
-        sampler._setup(n, config, list(seeds), single=False)
+        sampler._setup(list(sizes), config, list(seeds), single=False)
         return sampler
 
-    def _setup(self, n: int, config: SamplerConfig | None, seeds: list, single: bool) -> None:
-        if n < 1:
-            raise ValueError(f"dataset size must be >= 1, got {n}")
+    def _setup(self, sizes: list, config: SamplerConfig | None, seeds: list, single: bool) -> None:
         if not seeds:
             raise ValueError("a sampler stack needs at least one seed")
+        if len(sizes) != len(seeds):
+            raise ValueError(f"a sampler stack needs one size per seed, got {len(sizes)} for {len(seeds)}")
+        sizes = tuple(int(n) for n in sizes)
+        if min(sizes) < 1:
+            raise ValueError(f"dataset size must be >= 1, got {min(sizes)}")
+        shapes = {tree_shape(n) for n in sizes}
+        if len(shapes) > 1:
+            raise ValueError(f"the trees of a stack must share one shape, got {sorted(shapes)}")
         self.config = config if config is not None else SamplerConfig()
         self._single = single
         self._rngs = [np.random.default_rng(seed) for seed in seeds]
-        self._block = _block_size(n)
-        m, n_blocks = len(seeds), -(-n // self._block)
-        # Padding leaves past n hold -inf.  They follow their block's maximum,
-        # so the running sums they join are at least 1 and their floored
-        # mass of e**-700 rounds away: they add nothing to any sum.
+        self._block, n_blocks = shapes.pop()
+        m = len(seeds)
+        # Padding leaves past a tree's n hold -inf.  They follow their block's
+        # maximum, so the running sums they join are at least 1 and their
+        # floored mass of e**-700 rounds away: they add nothing to any sum.
         self._stale = np.full((m, n_blocks * self._block), -np.inf)
-        self._stale[:, :n] = float(self.config.init_loss)
-        self._counts = np.zeros((m, n), dtype=np.int64)
+        for k, n in enumerate(sizes):
+            self._stale[k, :n] = float(self.config.init_loss)
+        self._counts = np.zeros((m, max(sizes)), dtype=np.int64)
+        self._sizes = sizes
         self._cdf = np.empty_like(self._stale)  # block k's leaf CDF, plus k
         self._block_max = np.empty((m, n_blocks))
         self._block_sum = np.empty((m, n_blocks))  # sum of exp(leaf - block max)
@@ -143,7 +162,7 @@ class HardnessWeightedSampler:
         self._refresh_all()
 
     def _views(self) -> None:
-        """Flat views with one row per (tree, block), and each tree's number and first row."""
+        """Flat views with one row per (tree, block), and each tree's number, first row and end."""
         m, n_blocks = self._block_max.shape
         self._stale_rows = self._stale.reshape(m * n_blocks, self._block)
         self._cdf_rows = self._cdf.reshape(m * n_blocks, self._block)
@@ -151,15 +170,17 @@ class HardnessWeightedSampler:
         self._block_sum_flat = self._block_sum.reshape(-1)
         self._tree = np.arange(m)[:, None]
         self._first_row = self._tree * n_blocks
+        self._ends = np.array(self._sizes)[:, None]  # the first index past each tree
 
     def unstack(self) -> list:
         """One sampler per tree, each viewing (not copying) this stack's arrays."""
         out = []
-        for k, rng in enumerate(self._rngs):
+        for k, (rng, n) in enumerate(zip(self._rngs, self._sizes)):
             sampler = copy.copy(self)
-            sampler._single, sampler._rngs = True, [rng]
-            for name in ("_stale", "_counts", "_cdf", "_block_max", "_block_sum", "_cum_mass", "_top"):
+            sampler._single, sampler._rngs, sampler._sizes = True, [rng], (n,)
+            for name in ("_stale", "_cdf", "_block_max", "_block_sum", "_cum_mass", "_top"):
                 setattr(sampler, name, getattr(self, name)[k : k + 1])
+            sampler._counts = self._counts[k : k + 1, :n]
             sampler._views()
             out.append(sampler)
         return out
@@ -171,7 +192,7 @@ class HardnessWeightedSampler:
     @property
     def n(self) -> int:
         """Cases, summed over the trees of a stack."""
-        return self._counts.size
+        return sum(self._sizes)
 
     @property
     def stale_losses(self) -> np.ndarray:
@@ -231,7 +252,7 @@ class HardnessWeightedSampler:
         elif idx.ndim != 2 or idx.shape[0] != len(self._rngs):
             raise ValueError(f"a stack of {len(self._rngs)} trees takes one row of indices per tree")
         idx = idx.astype(np.int64, copy=False)
-        if idx.size and (idx.min() < 0 or idx.max() >= self._counts.shape[1]):
+        if idx.size and (idx.min() < 0 or (idx >= self._ends).any()):
             raise ValueError("index out of range")
         if not np.isfinite(vals).all():
             raise ValueError("losses must be finite")
@@ -241,8 +262,10 @@ class HardnessWeightedSampler:
 
     def distribution(self) -> np.ndarray:
         """Current sampling probabilities: ``softmax(beta * stale_losses)``."""
-        stale = self._stale[:, : self._counts.shape[1]]
-        return self._squeeze(np.stack([optimal_weights(row, self.config.beta) for row in stale]))
+        q = np.zeros(self._counts.shape)
+        for k, n in enumerate(self._sizes):
+            q[k, :n] = optimal_weights(self._stale[k, :n], self.config.beta)
+        return self._squeeze(q)
 
     def draw(self, batch_size: int) -> tuple[np.ndarray, np.ndarray]:
         """Draw ``batch_size`` indices i.i.d. with replacement.
@@ -257,6 +280,7 @@ class HardnessWeightedSampler:
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         stale, cdf, cum_mass, counts = self._stale[0], self._cdf[0], self._cum_mass[0], self._counts[0]
+        n = self._sizes[0]
         u = self._rngs[0].random(2 * batch_size)
         t, within = u[:batch_size], u[batch_size:]
         total = cum_mass[-1]
@@ -267,12 +291,12 @@ class HardnessWeightedSampler:
         # probability about b * 2**-53 in block b; that block's first leaf
         # with mass is then drawn (the last leaf, past the last block).
         indices = cdf.searchsorted(within, side="right")
-        np.minimum(indices, counts.size - 1, out=indices)
+        np.minimum(indices, n - 1, out=indices)
         # n * exp(leaf - top) / total is exactly 1 when all leaves are equal.
         weights = self.config.beta * stale[indices]
         weights -= self._top[0]
         np.exp(weights, out=weights)
-        weights *= counts.size / total
+        weights *= n / total
         np.maximum(weights, self.config.w_min, out=weights)
         np.minimum(weights, self.config.w_max, out=weights)
         np.add.at(counts, indices, 1)

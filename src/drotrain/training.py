@@ -24,9 +24,10 @@ stack.  Each fold keeps its own RNG stream, draws its batch from its own
 tree, and gathers it from the full feature matrix through its own training
 rows, and every stacked operation acts on each fold exactly as the
 unstacked one does, so a fold's trajectory, checkpoint and scores are
-bit-identical to training it alone.  Folds of one training size share their
-step count and sampler layout and form one stack, so a seed has one or two
-stacks, trained one after the other.
+bit-identical to training it alone.  Folds whose training sizes give one
+step count and one sampler tree shape form one stack, even when the sizes
+differ by a case; the folds of one seed, whose sizes differ by at most one,
+almost always form a single stack.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .mlp import (
     true_class_prob,
     weighted_loss_gradient,
 )
-from .sampler import HardnessWeightedSampler, SamplerConfig, UniformReplacementSampler
+from .sampler import HardnessWeightedSampler, SamplerConfig, UniformReplacementSampler, tree_shape
 from .scores import ScoreTable
 
 __all__ = [
@@ -75,6 +76,10 @@ __all__ = [
 SCORE_REGION = "overall"
 
 CHECKPOINT_MAGIC = b"DROCKPT1"
+
+# Rows scored per call.  Smaller blocks can change score bits: with 256-row
+# blocks OpenBLAS takes another path for small matrices.
+SCORE_BLOCK = 4096
 
 MODES = ("erm", "dro")
 
@@ -180,24 +185,25 @@ def _check_dims(dataset: Dataset, dims) -> tuple:
     return dims
 
 
-def init_stack(n: int, dims, config: TrainConfig, seeds) -> TrainState:
-    """Fresh state for a stack of models on ``n`` cases each, one per seed.
+def init_stack(sizes, dims, config: TrainConfig, seeds) -> TrainState:
+    """Fresh state for a stack of models, model k on ``sizes[k]`` cases.
 
-    Model k starts exactly as :func:`init_state` starts a run whose config
-    has seed ``seeds[k]``.
+    Model k starts exactly as :func:`init_state` starts a run on
+    ``sizes[k]`` cases whose config has seed ``seeds[k]``.  In the robust
+    regime the sizes must share one sampler tree shape.
     """
     streams = [np.random.SeedSequence(seed).spawn(2) for seed in seeds]
     theta = np.stack([init_params(dims, init_ss).theta for init_ss, _ in streams])
     params = MLPParams.from_theta(theta, dims)
     loops = [loop_ss for _, loop_ss in streams]
     if config.mode == "dro":
-        return TrainState(params, 0, "dro", sampler=HardnessWeightedSampler.stacked(n, config.sampler, loops))
+        return TrainState(params, 0, "dro", sampler=HardnessWeightedSampler.stacked(sizes, config.sampler, loops))
     return TrainState(params, 0, "erm", rng=[np.random.default_rng(ss) for ss in loops])
 
 
 def init_state(n: int, dims, config: TrainConfig) -> TrainState:
     """Fresh state for a run: params and the regime RNG, both seed-derived."""
-    return init_stack(n, dims, config, [config.seed]).unstack()[0]
+    return init_stack([n], dims, config, [config.seed]).unstack()[0]
 
 
 def run_epochs(
@@ -209,33 +215,45 @@ def run_epochs(
     the same number of updates per epoch.  A state without a sampler
     shuffles with its generators; a state with one draws from it and feeds
     it the raw losses.  A stack of M models (see :func:`init_stack`) takes
-    ``rows``, an (M, n) array of dataset rows: model k trains on
-    ``dataset.subset(rows[k])``, bit for bit, without that subset being
-    built.
+    ``rows``, M arrays of dataset rows whose lengths give one step count:
+    model k trains on ``dataset.subset(rows[k])``, bit for bit, without that
+    subset being built.
     """
     if rows is None:  # one model on the whole dataset, in order
-        rows, rngs, lead = np.arange(len(dataset)), [state.rng], ()
+        rows, rngs, lead = [np.arange(len(dataset))], [state.rng], ()
     else:
-        rows, rngs = np.asarray(rows), state.rng
-        lead = (np.arange(len(rows))[:, None],)
-    # rows[lead + (i,)] maps each model's case positions i to dataset rows.
-    n = rows.shape[-1]
-    if config.batch_size > n:
-        raise ValueError(f"batch_size {config.batch_size} exceeds dataset size {n}")
+        rngs, lead = state.rng, (np.arange(len(rows))[:, None],)
+    sizes = [len(r) for r in rows]
+    b = config.batch_size
+    if b > min(sizes):
+        raise ValueError(f"batch_size {b} exceeds dataset size {min(sizes)}")
+    steps = sizes[0] // b
+    if any(n // b != steps for n in sizes):
+        raise ValueError(f"the models of a stack need one step count, got sizes {sizes} for batch_size {b}")
+    # table[lead + (i,)] maps each model's case positions i to dataset rows;
+    # a shorter model's row ends in padding that no position reaches.
+    table = np.zeros((len(rows), max(sizes)), dtype=np.intp)
+    for k, r in enumerate(rows):
+        table[k, : len(r)] = r
+    table = table if lead else table[0]
     X, y = dataset.features, dataset.labels
-    b, steps = config.batch_size, n // config.batch_size
-    shape = rows.shape[:-1] + (b,)
+    shape = table.shape[:-1] + (b,)
 
     if state.sampler is None:
         ones = np.ones(shape)
 
         def batches():
-            perm = np.stack([rng.permutation(n) for rng in rngs]).reshape(rows.shape)
-            return ((perm[..., k * b : (k + 1) * b], ones) for k in range(steps))
+            # Each model shuffles its own cases; the first steps * b are walked.
+            perm = np.stack([rng.permutation(n)[: steps * b] for rng, n in zip(rngs, sizes)])
+            at = table[lead + (perm.reshape(table.shape[:-1] + (-1,)),)]
+            return ((at[..., k * b : (k + 1) * b], None, ones) for k in range(steps))
 
     else:
         # Each model draws from its own tree; the update serves the stack.
         trees = state.sampler.unstack()
+        tree_sizes = [tree.n for tree in trees]
+        if tree_sizes != sizes:
+            raise ValueError(f"sampler trees of sizes {tree_sizes} do not fit rows of sizes {sizes}")
         idx, w = np.empty(shape, dtype=np.intp), np.empty(shape)
         idx_rows, w_rows = idx.reshape(-1, b), w.reshape(-1, b)
 
@@ -243,11 +261,10 @@ def run_epochs(
             for _ in range(steps):
                 for k, tree in enumerate(trees):
                     idx_rows[k], w_rows[k] = tree.draw(b)
-                yield idx, w
+                yield table[lead + (idx,)], idx, w
 
     for _ in range(n_epochs):
-        for idx, w in batches():
-            at = rows[lead + (idx,)]
+        for at, idx, w in batches():
             losses, grad = weighted_loss_gradient(state.params, X[at], y[at], w)
             state.params = sgd_step(state.params, grad, config.learning_rate)
             if state.sampler is not None:
@@ -331,34 +348,47 @@ def plan_folds(dataset: Dataset, hidden_dims, config: TrainConfig) -> tuple:
     return dims, splits
 
 
+def _score_rows(params: MLPParams, dataset: Dataset, rows) -> np.ndarray:
+    """True-class probabilities of ``dataset``'s ``rows``, scored in blocks.
+
+    Blocks of :data:`SCORE_BLOCK` rows bound the activations held at once;
+    each score is bit-identical to scoring all rows in one call.
+    """
+    out = np.empty(rows.size)
+    for start in range(0, rows.size, SCORE_BLOCK):
+        block = rows[start : start + SCORE_BLOCK]
+        X, y = dataset.features[block], dataset.labels[block]
+        out[start : start + block.size] = true_class_prob(params, X, y)
+    return out
+
+
 def cross_validate(dataset: Dataset, hidden_dims, config: TrainConfig) -> CrossValResult:
     """Train one model per fold; score each held-out case by its fold's model.
 
     Fold membership depends only on (n, folds, seed), so two arms sharing a
     seed score exactly the same held-out cases, in dataset order: every
     case for two or more folds, the held-out fifth for one.  Scores are the
-    probability the model assigns to the true class, in [0, 1].  Folds of
-    one training size train in lockstep as one stack.
+    probability the model assigns to the true class, in [0, 1].  Folds whose
+    training sizes share the step count and the sampler tree shape train in
+    lockstep as one stack.
     """
     dims, splits = plan_folds(dataset, hidden_dims, config)
     fold_configs = [replace(config, seed=_fold_seed(config.seed, f)) for f in range(len(splits))]
-    # Folds of one training size share step count and sampler layout.
-    by_size: dict = {}
+    stacks: dict = {}
     for f, (train_idx, _) in enumerate(splits):
-        by_size.setdefault(train_idx.size, []).append(f)
+        n = train_idx.size
+        stacks.setdefault((n // config.batch_size, tree_shape(n)), []).append(f)
     states = [None] * len(splits)
-    for folds in by_size.values():
-        rows = np.stack([splits[f][0] for f in folds])
-        state = init_stack(rows.shape[1], dims, config, [fold_configs[f].seed for f in folds])
+    for folds in stacks.values():
+        rows = [splits[f][0] for f in folds]
+        state = init_stack([r.size for r in rows], dims, config, [fold_configs[f].seed for f in folds])
         trained = run_epochs(state, dataset, config, config.epochs, rows=rows)
         for f, fold_state in zip(folds, trained.unstack()):
             states[f] = fold_state
 
     scores = np.empty(len(dataset))
     for f, (_, val_idx) in enumerate(splits):
-        scores[val_idx] = true_class_prob(
-            states[f].params, dataset.features[val_idx], dataset.labels[val_idx]
-        )
+        scores[val_idx] = _score_rows(states[f].params, dataset, val_idx)
     held_out = np.sort(np.concatenate([val_idx for _, val_idx in splits]))
     rows = held_out.tolist()
     table = ScoreTable.from_columns(

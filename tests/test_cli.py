@@ -84,6 +84,18 @@ class TestGenerate:
         assert main(["generate", "--config", str(path)]) == 2
         assert "JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["generate"], ["train", "--arm", "erm"]], ids=["generate", "train"])
+    @pytest.mark.parametrize(
+        "raw, message",
+        [(b"[]", "JSON object"), (b'{"seeds": [0], "out": "\xff"}', "UTF-8")],
+        ids=["list", "latin-1"],
+    )
+    def test_config_must_be_a_utf8_json_object(self, tmp_path, capsys, command, raw, message):
+        path = tmp_path / "bad.json"
+        path.write_bytes(raw)
+        assert main([*command, "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_no_out_dir_anywhere(self, tmp_path, capsys):
         doc = json.loads(json.dumps(BASE_CONFIG))
         path = tmp_path / "config.json"

@@ -368,7 +368,7 @@ class TestStackedSampler:
         duplicate indices included."""
         seeds = [3, 4, 5]
         config = SamplerConfig(beta=50.0, w_min=0.05, w_max=20.0, init_loss=2.0)
-        stack = HardnessWeightedSampler.stacked(n, config, seeds)
+        stack = HardnessWeightedSampler.stacked([n] * len(seeds), config, seeds)
         trees = stack.unstack()
         singles = [HardnessWeightedSampler(n, config, seed=seed) for seed in seeds]
         rng = np.random.default_rng([22, n])
@@ -390,7 +390,7 @@ class TestStackedSampler:
             np.testing.assert_array_equal(stack.distribution()[k], single.distribution())
 
     def test_counts_cover_every_tree_and_case(self):
-        stack = HardnessWeightedSampler.stacked(10, None, [0, 1])
+        stack = HardnessWeightedSampler.stacked([10, 10], None, [0, 1])
         for tree in stack.unstack():
             tree.draw(4)
         assert stack.n == 20
@@ -399,7 +399,7 @@ class TestStackedSampler:
 
     def test_unstack_views_the_stack(self):
         """Trees split off a stack share its arrays rather than copying them."""
-        stack = HardnessWeightedSampler.stacked(40, None, [0, 1])
+        stack = HardnessWeightedSampler.stacked([40, 40], None, [0, 1])
         _, second = stack.unstack()
         second.update_loss(3, 0.25)
         second.draw(5)
@@ -407,7 +407,7 @@ class TestStackedSampler:
         assert stack.draw_counts[1].sum() == 5
 
     def test_update_needs_one_row_per_tree(self):
-        stack = HardnessWeightedSampler.stacked(10, None, [0, 1])
+        stack = HardnessWeightedSampler.stacked([10, 10], None, [0, 1])
         with pytest.raises(ValueError, match="row"):
             stack.update_losses([1, 2], [0.1, 0.2])
         with pytest.raises(ValueError, match="update_losses"):
@@ -418,7 +418,51 @@ class TestStackedSampler:
             stack.state_dict()
 
     def test_stack_draws_only_through_its_trees(self):
-        stack = HardnessWeightedSampler.stacked(10, None, [0, 1])
+        stack = HardnessWeightedSampler.stacked([10, 10], None, [0, 1])
         with pytest.raises(ValueError, match="unstack"):
             stack.draw(4)
         assert stack.draw_counts.sum() == 0
+
+    @pytest.mark.parametrize("sizes", [(47, 48, 48), (1000, 993)])
+    def test_ragged_stack_equals_single_samplers(self, sizes):
+        """Trees of one shape but unequal sizes: each draws, weighs, counts
+        and saves exactly as a sampler built alone on its own size."""
+        seeds = list(range(7, 7 + len(sizes)))
+        config = SamplerConfig(beta=50.0, w_min=0.05, w_max=20.0, init_loss=2.0)
+        stack = HardnessWeightedSampler.stacked(sizes, config, seeds)
+        trees = stack.unstack()
+        singles = [HardnessWeightedSampler(n, config, seed=seed) for n, seed in zip(sizes, seeds)]
+        rng = np.random.default_rng(list(sizes))
+        for _ in range(40):
+            drawn = [tree.draw(8) for tree in trees]
+            idx = np.stack([i for i, _ in drawn])
+            losses = rng.uniform(0.0, 2.0, size=idx.shape)
+            for k, single in enumerate(singles):
+                ik, wk = single.draw(8)
+                np.testing.assert_array_equal(idx[k], ik)
+                np.testing.assert_array_equal(drawn[k][1], wk)
+                single.update_losses(ik, losses[k])
+            stack.update_losses(idx, losses)
+        assert stack.n == sum(sizes)
+        for k, (tree, single) in enumerate(zip(stack.unstack(), singles)):
+            assert tree.n == single.n == sizes[k]
+            assert tree.state_dict() == single.state_dict()
+            np.testing.assert_array_equal(tree.draw_counts, single.draw_counts)
+            np.testing.assert_array_equal(stack.draw_counts[k, : sizes[k]], single.draw_counts)
+            np.testing.assert_array_equal(stack.distribution()[k, : sizes[k]], single.distribution())
+            assert not stack.draw_counts[k, sizes[k] :].any()
+            assert not stack.distribution()[k, sizes[k] :].any()
+
+    def test_ragged_stack_checks_each_trees_range(self):
+        stack = HardnessWeightedSampler.stacked([47, 48], None, [0, 1])
+        stack.update_losses([[46], [47]], [[0.1], [0.2]])
+        with pytest.raises(ValueError, match="out of range"):
+            stack.update_losses([[47], [0]], [[0.1], [0.2]])
+        with pytest.raises(ValueError, match="out of range"):
+            stack.unstack()[0].update_loss(47, 0.1)
+
+    def test_stack_needs_one_tree_shape_and_one_size_per_seed(self):
+        with pytest.raises(ValueError, match="shape"):
+            HardnessWeightedSampler.stacked([32, 33], None, [0, 1])
+        with pytest.raises(ValueError, match="one size per seed"):
+            HardnessWeightedSampler.stacked([32], None, [0, 1])

@@ -272,22 +272,53 @@ class TestCrossValidate:
         ]
 
 
+class TestBlockScoring:
+    @pytest.mark.parametrize("dims", [(10, 16, 3), (8, 32, 32, 3)])
+    def test_blocks_equal_one_call_bit_for_bit(self, dims):
+        """A fold of more than two blocks, scored in blocks and in one call."""
+        rng = np.random.default_rng(len(dims))
+        n = 2 * training.SCORE_BLOCK + 1000
+        dataset = Dataset(
+            3.0 * rng.standard_normal((n, dims[0])),
+            rng.integers(dims[-1], size=n),
+            np.full(n, "majority"),
+            np.array([f"case_{i}" for i in range(n)]),
+        )
+        params = init_params(dims, 5)
+        rows = rng.permutation(n)[: n - 7]
+        whole = true_class_prob(params, dataset.features[rows], dataset.labels[rows])
+        blocks = training._score_rows(params, dataset, rows)
+        assert blocks.tobytes() == whole.tobytes()
+
+
 class TestLockstepFolds:
     """Folds trained as stacks against each fold trained alone on its subset."""
 
     @pytest.mark.parametrize("runs", [1, 2])
     @pytest.mark.parametrize("mode", ["erm", "dro"])
-    @pytest.mark.parametrize("n", [47, 49])
-    def test_each_fold_equals_training_it_alone(self, n, mode, runs):
+    @pytest.mark.parametrize("n", [47, 49, 100])
+    def test_each_fold_equals_training_it_alone(self, n, mode, runs, monkeypatch):
         """With 3 folds of batch 8, n = 47 gives 3/3/4 steps per epoch and
-        n = 49 gives sampler trees of 2/3/3 blocks, so folds land in separate
-        stacks; every fold still ends bit-identical to a lone run.  With
-        runs = 2 cross_validate is called twice on the same inputs, and the
-        second call must carry nothing over from the first."""
+        n = 49 gives sampler trees of 2/3/3 blocks, so folds land in two
+        stacks; n = 100 gives training sizes 66/67/67, one step count and
+        one tree shape, so its folds of unequal size train as one stack.
+        Every fold ends bit-identical to a lone run.  With runs = 2
+        cross_validate is called twice on the same inputs, and the second
+        call must carry nothing over from the first."""
         dataset = _blob_dataset(n, seed=n)
         config = TrainConfig(epochs=3, batch_size=8, mode=mode, folds=3, seed=4)
+        stacks, init_stack = [], training.init_stack
+
+        def spy(sizes, *args):
+            stacks.append(sizes)
+            return init_stack(sizes, *args)
+
+        monkeypatch.setattr(training, "init_stack", spy)
         for _ in range(runs):
+            stacks.clear()
             result = cross_validate(dataset, (6,), config)
+            assert len(stacks) == {47: 2, 49: 2, 100: 1}[n]
+            assert sorted(n for sizes in stacks for n in sizes) == sorted(t.size for t, _ in result.splits)
             for f, (train_idx, _) in enumerate(result.splits):
                 fold_config = result.fold_configs[f]
                 alone = init_state(len(train_idx), result.dims, fold_config)
@@ -299,6 +330,20 @@ class TestLockstepFolds:
                     assert state.sampler.state_dict() == alone.sampler.state_dict()
                 else:
                     assert state.rng.bit_generator.state == alone.rng.bit_generator.state
+
+    def test_stack_needs_one_step_count(self):
+        dataset = _blob_dataset(40)
+        config = TrainConfig(epochs=1, batch_size=8, seed=0)
+        state = training.init_stack([16, 24], (2, 4, 2), config, [0, 1])
+        with pytest.raises(ValueError, match="step count"):
+            run_epochs(state, dataset, config, 1, rows=[np.arange(16), np.arange(16, 40)])
+
+    def test_stack_sampler_must_fit_rows(self):
+        dataset = _blob_dataset(100)
+        config = TrainConfig(epochs=1, batch_size=8, mode="dro", seed=0)
+        state = training.init_stack([66, 67], (2, 4, 2), config, [0, 1])
+        with pytest.raises(ValueError, match="do not fit"):
+            run_epochs(state, dataset, config, 1, rows=[np.arange(67), np.arange(33, 99)])
 
     def test_stacked_gradient_equals_single_calls(self):
         rng = np.random.default_rng(23)
