@@ -9,74 +9,7 @@ reproduce the effect end to end is here: the robust objectives and their
 percentile bound, the sampler, a small MLP with exact gradients, a
 stratified synthetic data generator, two training regimes with fold
 ensembling and resumable checkpoints, and stratified percentile reports.
+
+Names are imported from their modules, for example
+``from drotrain.training import cross_validate``.
 """
-
-from .datasets import Dataset, SyntheticConfig, generate, kfold_indices, read_csv, write_csv
-from .metrics import compare_reports, dice, percentile_report, render_json, render_text
-from .mlp import MAX_LOSS, MLPParams, Sample, init_params
-from .objectives import (
-    RobustConfig,
-    chernoff_percentile_bound,
-    dro_inner_objective,
-    empirical_percentile,
-    kl_divergence,
-    lse_robust_loss,
-    mean_loss,
-    optimal_weights,
-)
-from .sampler import HardnessWeightedSampler, SamplerConfig, UniformReplacementSampler
-from .scores import ScoreRow, ScoreTable, load_scores, write_scores
-from .training import (
-    TrainConfig,
-    cross_validate,
-    ensemble_predict,
-    load_checkpoint,
-    save_checkpoint,
-    train_dro,
-    train_erm,
-    train_replacement_erm,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "Dataset",
-    "SyntheticConfig",
-    "generate",
-    "kfold_indices",
-    "read_csv",
-    "write_csv",
-    "compare_reports",
-    "dice",
-    "percentile_report",
-    "render_json",
-    "render_text",
-    "MAX_LOSS",
-    "MLPParams",
-    "Sample",
-    "init_params",
-    "RobustConfig",
-    "chernoff_percentile_bound",
-    "dro_inner_objective",
-    "empirical_percentile",
-    "kl_divergence",
-    "lse_robust_loss",
-    "mean_loss",
-    "optimal_weights",
-    "HardnessWeightedSampler",
-    "SamplerConfig",
-    "UniformReplacementSampler",
-    "ScoreRow",
-    "ScoreTable",
-    "load_scores",
-    "write_scores",
-    "TrainConfig",
-    "cross_validate",
-    "ensemble_predict",
-    "load_checkpoint",
-    "save_checkpoint",
-    "train_dro",
-    "train_erm",
-    "train_replacement_erm",
-    "__version__",
-]

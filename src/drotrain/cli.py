@@ -1,11 +1,12 @@
 """Batch front door: generate datasets, train arms, render score reports.
 
 Subcommands consume one JSON experiment config (strict field checking: an
-unrecognized key is an error, not a warning) and write everything under an
-output directory so a whole experiment is reproducible from the config
-alone.  Exit codes: 0 success, 2 usage or validation error, 1 internal
-error.  The environment variable DRO_SEED, when set, replaces the config's
-seeds so smoke runs can redirect an experiment without editing files.
+unrecognized key, or a value of the wrong type, is an error, not a warning)
+and write everything under an output directory so a whole experiment is
+reproducible from the config alone.  Exit codes: 0 success, 2 usage or
+validation error, 1 internal error.  The environment variable DRO_SEED,
+when set, replaces the config's seeds so smoke runs can redirect an
+experiment without editing files.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import dataclasses
 import json
 import os
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +31,7 @@ from .metrics import (
     render_json,
     render_text,
 )
+from .sampler import SamplerConfig
 from .training import TrainConfig, cross_validate, ensemble_predict
 
 __all__ = ["main"]
@@ -37,12 +40,19 @@ DATASET_FILENAME = "dataset.csv"
 
 DEFAULT_HIDDEN = (32, 32)
 
+TOP_LEVEL_KEYS = ("data", "hidden", "train", "seeds", "out", "test_dataset")
+
+# The JSON values a numeric dataclass field takes, and their name; a bool is
+# never one, though Python counts it as an int.
+NUMERIC_FIELDS = {int: (int, "an integer"), float: ((int, float), "a number")}
+
 
 class UsageError(Exception):
     """Config or input validation failure; maps to exit code 2."""
 
 
-def _load_json(path) -> dict:
+def _load_config(path) -> dict:
+    """The config's JSON object, once its top-level keys and paths pass."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -54,6 +64,10 @@ def _load_json(path) -> dict:
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise UsageError(f"{path} must hold a JSON object, got {type(doc).__name__}")
+    _check_keys(doc, TOP_LEVEL_KEYS, "config")
+    for key in ("out", "test_dataset"):
+        if key in doc and not (isinstance(doc[key], str) and doc[key]):
+            raise UsageError(f"'{key}' must be a non-empty string, got {doc[key]!r}")
     return doc
 
 
@@ -64,10 +78,28 @@ def _integer(value, what: str) -> int:
     return value
 
 
+def _seed(value, what: str) -> int:
+    """``value`` if it is a non-negative integer, else a usage error."""
+    if _integer(value, what) < 0:
+        raise UsageError(f"{what} must be >= 0, got {value}")
+    return value
+
+
 def _check_keys(obj: dict, known, context: str) -> None:
     unknown = set(obj) - set(known)
     if unknown:
         raise UsageError(f"{context}: unknown fields {sorted(unknown)}")
+
+
+def _check_types(block: dict, cls, context: str) -> None:
+    """Usage error unless each ``int`` field of the dataclass ``cls`` that
+    ``block`` sets holds an integer and each ``float`` field a number; a
+    bool is neither."""
+    for name, kind in typing.get_type_hints(cls).items():
+        if name in block and kind in NUMERIC_FIELDS:
+            value, (accepted, noun) = block[name], NUMERIC_FIELDS[kind]
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                raise UsageError(f"{context}.{name} must be {noun}, got {value!r}")
 
 
 def _data_config(doc: dict) -> tuple:
@@ -77,13 +109,9 @@ def _data_config(doc: dict) -> tuple:
         raise UsageError("config needs a 'data' object")
     field_names = [f.name for f in dataclasses.fields(datasets.SyntheticConfig)]
     _check_keys(block, field_names + ["seed"], "data config")
-    for key in ("n_samples", "n_features", "n_classes", "seed"):
-        if key in block:
-            _integer(block[key], f"data.{key}")
-    seed = block.get("seed", 0)
-    if seed < 0:
-        raise UsageError(f"data.seed must be >= 0, got {seed}")
-    kwargs = {k: v for k, v in block.items() if k != "seed"}
+    _check_types(block, datasets.SyntheticConfig, "data")
+    kwargs = dict(block)
+    seed = _seed(kwargs.pop("seed", 0), "data.seed")
     try:
         return datasets.SyntheticConfig(**kwargs), seed
     except (TypeError, ValueError) as exc:
@@ -95,9 +123,10 @@ def _env_seed():
     if env is None:
         return None
     try:
-        return int(env)
+        seed = int(env)
     except ValueError:
         raise UsageError(f"DRO_SEED must be an integer, got {env!r}") from None
+    return _seed(seed, "DRO_SEED")
 
 
 def _seeds(doc: dict) -> list:
@@ -107,7 +136,7 @@ def _seeds(doc: dict) -> list:
     raw = doc.get("seeds")
     if not isinstance(raw, list) or not raw:
         raise UsageError("config needs a non-empty 'seeds' list")
-    return [_integer(s, "seeds") for s in raw]
+    return [_seed(s, "seeds") for s in raw]
 
 
 def _arm_config(doc: dict, arm: str, seed: int) -> TrainConfig:
@@ -115,12 +144,12 @@ def _arm_config(doc: dict, arm: str, seed: int) -> TrainConfig:
     if not isinstance(train_block, dict) or not isinstance(train_block.get(arm), dict):
         raise UsageError(f"config needs a train.{arm} object")
     block = dict(train_block[arm])
-    for key in ("epochs", "batch_size", "folds"):
-        if key in block:
-            _integer(block[key], f"train.{arm}.{key}")
     for reserved, source in (("mode", "the --arm flag"), ("seed", "the seeds list")):
         if reserved in block:
             raise UsageError(f"train.{arm}: '{reserved}' is set by {source}, remove it")
+    _check_types(block, TrainConfig, f"train.{arm}")
+    if isinstance(block.get("sampler"), dict):
+        _check_types(block["sampler"], SamplerConfig, f"train.{arm}.sampler")
     block["mode"] = arm
     block["seed"] = seed
     try:
@@ -145,12 +174,8 @@ def _out_dir(args, doc: dict) -> Path:
     return path
 
 
-TOP_LEVEL_KEYS = ("data", "hidden", "train", "seeds", "out", "test_dataset")
-
-
 def cmd_generate(args) -> int:
-    doc = _load_json(args.config)
-    _check_keys(doc, TOP_LEVEL_KEYS, "config")
+    doc = _load_config(args.config)
     config, seed = _data_config(doc)
     env = _env_seed()
     if env is not None:
@@ -165,8 +190,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    doc = _load_json(args.config)
-    _check_keys(doc, TOP_LEVEL_KEYS, "config")
+    doc = _load_config(args.config)
     hidden = _hidden_dims(doc)
     configs = [_arm_config(doc, args.arm, seed) for seed in _seeds(doc)]
     out = _out_dir(args, doc)
@@ -184,7 +208,7 @@ def cmd_train(args) -> int:
             raise UsageError(f"train.{args.arm}: {exc}") from exc
 
     test_dataset = None
-    if doc.get("test_dataset"):
+    if "test_dataset" in doc:
         try:
             test_dataset = datasets.read_csv(doc["test_dataset"])
         except (OSError, ValueError) as exc:

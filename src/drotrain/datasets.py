@@ -71,10 +71,10 @@ class SyntheticConfig:
             )
         if not 0.0 < self.minority_fraction < 1.0:
             raise ValueError(f"minority_fraction must be in (0, 1), got {self.minority_fraction}")
-        if not 0.0 < self.minority_radius <= self.majority_radius:
-            raise ValueError("need 0 < minority_radius <= majority_radius")
-        if self.shift < 0.0:
-            raise ValueError(f"shift must be >= 0, got {self.shift}")
+        if not 0.0 < self.minority_radius <= self.majority_radius < math.inf:
+            raise ValueError("need 0 < minority_radius <= majority_radius < inf")
+        if not 0.0 <= self.shift < math.inf:
+            raise ValueError(f"shift must be finite and >= 0, got {self.shift}")
         for name in ("noise_majority", "noise_minority"):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
@@ -111,15 +111,6 @@ class Dataset:
             counts[g] = counts.get(g, 0) + 1
         n = len(self)
         return {g: c / n for g, c in counts.items()}
-
-    def subset(self, indices) -> "Dataset":
-        idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(
-            self.features[idx],
-            self.labels[idx],
-            [self.groups[i] for i in idx],
-            [self.case_ids[i] for i in idx],
-        )
 
 
 def _class_centres(config: SyntheticConfig) -> tuple:

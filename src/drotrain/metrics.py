@@ -1,4 +1,4 @@
-"""Stratified percentile reports over per-case scores, plus the Dice overlap.
+"""Stratified percentile reports over per-case scores.
 
 Reports slice a score table by (group, region) and summarize each stratum
 with mean, population std, and the nearest-rank percentiles p50/p25/p10/p5.
@@ -29,7 +29,6 @@ __all__ = [
     "GroupBlock",
     "PercentileReport",
     "ReportComparison",
-    "dice",
     "percentile_report",
     "compare_reports",
     "render_value",
@@ -43,18 +42,6 @@ __all__ = [
 CELL_NAMES = ("mean", "std", "p50", "p25", "p10", "p5")
 
 PERCENTILE_ALPHAS = {"p50": 0.50, "p25": 0.25, "p10": 0.10, "p5": 0.05}
-
-
-def dice(pred, gt) -> float:
-    """Overlap 2|A∩B| / (|A|+|B|) between binary masks; both empty -> 1.0."""
-    a = np.asarray(pred, dtype=bool)
-    b = np.asarray(gt, dtype=bool)
-    if a.shape != b.shape:
-        raise ValueError(f"mask shapes differ: {a.shape} vs {b.shape}")
-    total = int(a.sum()) + int(b.sum())
-    if total == 0:
-        return 1.0
-    return 2.0 * int(np.logical_and(a, b).sum()) / total
 
 
 @dataclass(frozen=True)
@@ -168,42 +155,32 @@ def render_delta(value: float) -> str:
     return ("+" if value > 0 else "-") + f"{magnitude:.1f}"
 
 
-def _layout(groups) -> tuple:
+def _render_blocks(groups, title, cells) -> str:
+    """Aligned per-group tables: the line ``title(block)``, a header, and a
+    row per region of the rendered cells ``cells(value)``."""
+    cell_w = 8
     region_w = max([len("Region")] + [len(r) for g in groups for r, _ in g.regions])
-    return region_w, 8
-
-
-def _header_line(region_w: int, cell_w: int) -> str:
-    return "  " + "Region".ljust(region_w) + "".join(
+    header = "  " + "Region".ljust(region_w) + "".join(
         name.rjust(cell_w) for name in ("Mean", "Std", "p50", "p25", "p10", "p5")
     )
+    lines = []
+    for block in groups:
+        lines += [title(block), header]
+        for region, value in block.regions:
+            lines.append("  " + region.ljust(region_w) + "".join(c.rjust(cell_w) for c in cells(value)))
+        lines.append("")
+    return "\n".join(lines)
 
 
 def render_text(report: PercentileReport) -> str:
     """Aligned per-group blocks; byte-stable for a given report."""
-    region_w, cell_w = _layout(report.groups)
-    lines = []
-    for block in report.groups:
-        lines.append(f"{block.name} ({block.cases} cases)")
-        lines.append(_header_line(region_w, cell_w))
-        for region, stats in block.regions:
-            cells = "".join(render_value(v).rjust(cell_w) for v in stats.cells())
-            lines.append("  " + region.ljust(region_w) + cells)
-        lines.append("")
-    return "\n".join(lines)
+    return _render_blocks(
+        report.groups, lambda b: f"{b.name} ({b.cases} cases)", lambda s: map(render_value, s.cells())
+    )
 
 
 def render_comparison_text(comparison: ReportComparison) -> str:
-    region_w, cell_w = _layout(comparison.groups)
-    lines = []
-    for block in comparison.groups:
-        lines.append(block.name)
-        lines.append(_header_line(region_w, cell_w))
-        for region, deltas in block.regions:
-            cells = "".join(render_delta(v).rjust(cell_w) for v in deltas)
-            lines.append("  " + region.ljust(region_w) + cells)
-        lines.append("")
-    return "\n".join(lines)
+    return _render_blocks(comparison.groups, lambda b: b.name, lambda deltas: map(render_delta, deltas))
 
 
 def render_json(report: PercentileReport) -> str:

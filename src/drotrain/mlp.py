@@ -31,7 +31,6 @@ __all__ = [
     "predict_proba",
     "per_sample_loss",
     "per_sample_gradient",
-    "batch_losses",
     "weighted_loss_gradient",
     "true_class_prob",
     "sgd_step",
@@ -160,13 +159,6 @@ def per_sample_loss(params: MLPParams, sample: Sample) -> float:
     if not 0 <= sample.target < logits.size:
         raise ValueError(f"target {sample.target} out of range for {logits.size} classes")
     return min(-_log_softmax(logits)[sample.target], MAX_LOSS)
-
-
-def batch_losses(params: MLPParams, X, y) -> np.ndarray:
-    """Clamped cross-entropy per sample, shape (B,)."""
-    logp = _log_softmax(forward_batch(params, X))
-    y = np.asarray(y, dtype=np.int64)
-    return np.minimum(-logp[np.arange(y.size), y], MAX_LOSS)
 
 
 def true_class_prob(params: MLPParams, X, y) -> np.ndarray:

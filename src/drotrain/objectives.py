@@ -22,7 +22,6 @@ __all__ = [
     "RobustConfig",
     "as_loss_vector",
     "as_weight_vector",
-    "mean_loss",
     "empirical_percentile",
     "lse_robust_loss",
     "chernoff_percentile_bound",
@@ -82,11 +81,6 @@ def as_weight_vector(values, n: int | None = None) -> np.ndarray:
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise ValueError(f"weight vector sums to {total!r}, not 1")
     return arr
-
-
-def mean_loss(losses) -> float:
-    """Average per-sample loss."""
-    return float(np.mean(as_loss_vector(losses)))
 
 
 def empirical_percentile(scores, alpha: float) -> float:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -230,10 +230,6 @@ class HardnessWeightedSampler:
         """Record the freshly observed loss of one sample (overwrite)."""
         if not self._single:
             raise ValueError("a stack takes update_losses with one row of indices per tree")
-        if not 0 <= index < self.n:
-            raise ValueError(f"index {index} out of range for {self.n} samples")
-        if not math.isfinite(loss):
-            raise ValueError(f"loss must be finite, got {loss}")
         self.update_losses([index], [loss])
 
     def update_losses(self, indices, losses) -> None:
@@ -307,12 +303,7 @@ class HardnessWeightedSampler:
         if not self._single:
             raise ValueError("a stack has no state_dict; unstack() it into one sampler per tree")
         return {
-            "config": {
-                "beta": self.config.beta,
-                "w_min": self.config.w_min,
-                "w_max": self.config.w_max,
-                "init_loss": self.config.init_loss,
-            },
+            "config": asdict(self.config),
             "stale_losses": self.stale_losses.tolist(),
             "draw_counts": self.draw_counts.tolist(),
             "rng_state": self._rngs[0].bit_generator.state,

@@ -183,16 +183,12 @@ def load_scores(path) -> ScoreTable:
     return ScoreTable._of_checked(case_ids, groups, regions, np.concatenate(scores))
 
 
-def write_scores(table, path) -> None:
+def write_scores(table: ScoreTable, path) -> None:
     """Write the canonical form: header, repr floats, newline-terminated.
 
-    ``table`` is a :class:`ScoreTable` or any iterable of :class:`ScoreRow`;
-    rows are made into a table first, so they pass the table's checks.
     ``write_scores(load_scores(p), p2)`` reproduces canonical files
     byte-for-byte.  The file is replaced whole, never left half-written.
     """
-    if not isinstance(table, ScoreTable):
-        table = ScoreTable(table)
     columns = (table.case_ids, table.groups, table.regions)
     with atomic_write(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")

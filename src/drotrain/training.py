@@ -35,7 +35,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -115,40 +115,25 @@ class TrainConfig:
             object.__setattr__(self, "sampler", SamplerConfig(init_loss=MAX_LOSS))
 
     def to_dict(self) -> dict:
-        d = {
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "mode": self.mode,
-            "folds": self.folds,
-            "seed": self.seed,
-        }
-        if self.sampler is not None:
-            d["sampler"] = {
-                "beta": self.sampler.beta,
-                "w_min": self.sampler.w_min,
-                "w_max": self.sampler.w_max,
-                "init_loss": self.sampler.init_loss,
-            }
-        return d
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
     @classmethod
     def from_dict(cls, obj: dict) -> "TrainConfig":
-        if not isinstance(obj, dict):
-            raise ValueError(f"train config must be an object, got {type(obj).__name__}")
-        known = {"epochs", "batch_size", "learning_rate", "mode", "folds", "seed", "sampler"}
-        unknown = set(obj) - known
-        if unknown:
-            raise ValueError(f"unknown train config fields: {sorted(unknown)}")
-        kwargs = dict(obj)
-        if "sampler" in kwargs and kwargs["sampler"] is not None:
-            s = kwargs["sampler"]
-            s_known = {"beta", "w_min", "w_max", "init_loss"}
-            s_unknown = set(s) - s_known
-            if s_unknown:
-                raise ValueError(f"unknown sampler config fields: {sorted(s_unknown)}")
-            kwargs["sampler"] = SamplerConfig(**s)
+        kwargs = _fields_of(cls, obj, "train")
+        if kwargs.get("sampler") is not None:
+            kwargs["sampler"] = SamplerConfig(**_fields_of(SamplerConfig, kwargs["sampler"], "sampler"))
         return cls(**kwargs)
+
+
+def _fields_of(cls, obj, what: str) -> dict:
+    """A copy of ``obj`` once it is a dict whose keys are fields of the
+    dataclass ``cls``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} config must be an object, got {type(obj).__name__}")
+    unknown = set(obj) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {what} config fields: {sorted(unknown)}")
+    return dict(obj)
 
 
 @dataclass
@@ -216,8 +201,8 @@ def run_epochs(
     shuffles with its generators; a state with one draws from it and feeds
     it the raw losses.  A stack of M models (see :func:`init_stack`) takes
     ``rows``, M arrays of dataset rows whose lengths give one step count:
-    model k trains on ``dataset.subset(rows[k])``, bit for bit, without that
-    subset being built.
+    model k trains on the dataset's rows ``rows[k]``, bit for bit as on a
+    dataset of just those rows, without that dataset being built.
     """
     if rows is None:  # one model on the whole dataset, in order
         rows, rngs, lead = [np.arange(len(dataset))], [state.rng], ()

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the library's own code paths: the
 log-sum-exp oracle runs in 50-digit decimal arithmetic, the simplex oracle
 finds maximizers by exhaustive grid search, the percentile oracle is a
-plain sort-and-index over Python lists, and the CSV writers format one row
-at a time with an explicit ``repr`` per float.
+plain sort-and-index over Python lists, the dataset subset gathers its
+rows one by one, and the CSV writers format one row at a time with an
+explicit ``repr`` per float.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import math
 from decimal import Decimal, localcontext
 
 import numpy as np
+
+from drotrain.datasets import Dataset
 
 
 def lse_highprec(losses, beta: float) -> float:
@@ -90,6 +93,17 @@ def replacement_sgd_oracle(X, y, weights, biases, draw, steps: int, learning_rat
             weights[i] = weights[i] - learning_rate * g_w
             biases[i] = biases[i] - learning_rate * g_b
     return weights, biases
+
+
+def subset(dataset: Dataset, indices) -> Dataset:
+    """The dataset of rows ``indices``, in that order, built row by row."""
+    idx = np.asarray(indices, dtype=np.int64)
+    return Dataset(
+        dataset.features[idx],
+        dataset.labels[idx],
+        [dataset.groups[i] for i in idx],
+        [dataset.case_ids[i] for i in idx],
+    )
 
 
 def write_csv_rows(dataset, path) -> None:

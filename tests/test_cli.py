@@ -115,6 +115,18 @@ class TestGenerate:
         assert main(["generate", "--config", str(config)]) == 2
         assert "DRO_SEED" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["generate"], ["train", "--arm", "erm"]], ids=["generate", "train"])
+    def test_negative_seed_env_rejected(self, tmp_path, monkeypatch, capsys, command):
+        out = tmp_path / "o"
+        config = _write_config(tmp_path, out)
+        assert main(["generate", "--config", str(config)]) == 0
+        before = (out / "dataset.csv").read_bytes()
+        monkeypatch.setenv("DRO_SEED", "-1")
+        assert main([*command, "--config", str(config)]) == 2
+        assert "DRO_SEED must be >= 0" in capsys.readouterr().err
+        assert (out / "dataset.csv").read_bytes() == before
+        assert not (out / "erm").exists()
+
 
 class TestTrain:
     def test_requires_generated_dataset(self, tmp_path, capsys):
@@ -144,11 +156,20 @@ class TestTrain:
             ("generate", {"data": dict(BASE_CONFIG["data"], seed="abc")}, "data.seed"),
             ("generate", {"data": dict(BASE_CONFIG["data"], n_samples=60.0)}, "data.n_samples"),
             ("generate", {"data": dict(BASE_CONFIG["data"], seed=-1)}, "data.seed"),
+            ("generate", {"data": dict(BASE_CONFIG["data"], shift=True)}, "data.shift"),
+            ("generate", {"data": dict(BASE_CONFIG["data"], shift=float("inf"))}, "shift"),
+            ("generate", {"data": dict(BASE_CONFIG["data"], majority_radius=float("inf"))}, "majority_radius"),
+            ("generate", {"out": 5}, "'out'"),
             ("train", {"train": {"erm": {"epochs": "8", "batch_size": 8}}}, "train.erm.epochs"),
             ("train", {"train": {"erm": {"epochs": 2, "batch_size": True}}}, "train.erm.batch_size"),
             ("train", {"train": {"erm": {"epochs": 2, "batch_size": 8, "folds": 2.5}}}, "train.erm.folds"),
             ("train", {"train": {"erm": {"epochs": 2, "learning_rate": "fast"}}}, "train.erm"),
             ("train", {"train": {"erm": {"epochs": 2, "learning_rate": float("inf")}}}, "learning_rate"),
+            ("train", {"train": {"erm": {"epochs": 2, "learning_rate": True}}}, "train.erm.learning_rate"),
+            ("train", {"train": {"erm": {"epochs": 2, "sampler": {"beta": True}}}}, "train.erm.sampler.beta"),
+            ("train", {"test_dataset": 7}, "test_dataset"),
+            ("train", {"test_dataset": True}, "test_dataset"),
+            ("train", {"test_dataset": 0}, "test_dataset"),
             ("train", {"seeds": ["x"]}, "seeds"),
             ("train", {"seeds": [0, True]}, "seeds"),
             ("train", {"hidden": ["a"]}, "hidden"),
@@ -157,11 +178,20 @@ class TestTrain:
             "data-seed-str",
             "data-n_samples-float",
             "data-seed-negative",
+            "data-shift-bool",
+            "data-shift-inf",
+            "data-majority_radius-inf",
+            "out-int",
             "epochs-str",
             "batch_size-bool",
             "folds-float",
             "learning_rate-str",
             "learning_rate-inf",
+            "learning_rate-bool",
+            "sampler-beta-bool",
+            "test_dataset-int",
+            "test_dataset-bool",
+            "test_dataset-zero",
             "seeds-str",
             "seeds-bool",
             "hidden-str",
@@ -267,6 +297,15 @@ class TestTrain:
         assert main(["generate", "--config", str(config)]) == 0
         assert main(["train", "--config", str(config), "--arm", "dro"]) == 2
         assert "w_max" in capsys.readouterr().err
+
+    def test_integers_accepted_in_float_fields(self, tmp_path):
+        data = dict(BASE_CONFIG["data"], minority_fraction=0.2, shift=2, majority_radius=3)
+        dro = {"epochs": 1, "batch_size": 8, "folds": 3, "learning_rate": 1, "sampler": {"beta": 10, "w_max": 5}}
+        out = tmp_path / "o"
+        config = _write_config(tmp_path, out, data=data, train=dict(BASE_CONFIG["train"], dro=dro))
+        assert main(["generate", "--config", str(config)]) == 0
+        assert main(["train", "--config", str(config), "--arm", "dro"]) == 0
+        assert (out / "dro" / "seed_0" / "scores.csv").exists()
 
     def test_bad_hidden_rejected(self, tmp_path, capsys):
         config = _write_config(tmp_path, tmp_path / "o", hidden=[])

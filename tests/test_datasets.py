@@ -1,5 +1,6 @@
 """Verification tests for the stratified generator, CSV round-trip, and folds."""
 
+import math
 import re
 
 import numpy as np
@@ -39,6 +40,21 @@ class TestConfigValidation:
             SyntheticConfig(minority_radius=3.0, majority_radius=2.0)
         with pytest.raises(ValueError):
             SyntheticConfig(minority_radius=0.0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"majority_radius": math.inf},
+            {"minority_radius": math.inf, "majority_radius": math.inf},
+            {"shift": math.inf},
+            {"shift": math.nan},
+        ],
+    )
+    def test_radii_and_shift_finite(self, kwargs):
+        """An infinite centre would give the generated dataset non-finite
+        features, which reading it back rejects."""
+        with pytest.raises(ValueError):
+            SyntheticConfig(**kwargs)
 
     def test_feature_dim_holds_class_centres(self):
         with pytest.raises(ValueError):
@@ -331,12 +347,6 @@ class TestKfoldIndices:
 
 
 class TestDatasetContainer:
-    def test_subset(self):
-        ds = generate(SyntheticConfig(n_samples=30, n_features=5, n_classes=3), 19)
-        sub = ds.subset([4, 7, 2])
-        np.testing.assert_array_equal(sub.features, ds.features[[4, 7, 2]])
-        assert sub.case_ids == [ds.case_ids[4], ds.case_ids[7], ds.case_ids[2]]
-
     def test_alignment_validated(self):
         with pytest.raises(ValueError):
             Dataset(np.zeros((3, 2)), np.zeros(2, dtype=np.int64), ["a"] * 3, ["c"] * 3)

@@ -1,4 +1,4 @@
-"""Verification tests for dice, stratified reports, deltas, and rendering."""
+"""Verification tests for stratified reports, deltas, and rendering."""
 
 import json
 
@@ -8,7 +8,6 @@ import pytest
 from drotrain.metrics import (
     CELL_NAMES,
     compare_reports,
-    dice,
     percentile_report,
     render_comparison_json,
     render_comparison_text,
@@ -32,42 +31,6 @@ def _random_table(rng, n_cases, groups=("majority", "minority"), regions=("left"
         for region in regions:
             rows.append(ScoreRow(f"case_{i:03d}", group, region, float(rng.random())))
     return ScoreTable(rows)
-
-
-class TestDice:
-    def test_identical_masks(self):
-        mask = np.array([1, 0, 1, 1, 0], dtype=bool)
-        assert dice(mask, mask) == 1.0
-
-    def test_disjoint_masks(self):
-        assert dice([1, 1, 0, 0], [0, 0, 1, 1]) == 0.0
-
-    def test_half_overlap(self):
-        assert dice([1, 1, 0, 0], [1, 0, 1, 0]) == 0.5
-
-    def test_both_empty_is_one(self):
-        assert dice(np.zeros(4, dtype=bool), np.zeros(4, dtype=bool)) == 1.0
-
-    def test_one_empty_is_zero(self):
-        assert dice([0, 0, 0], [1, 0, 1]) == 0.0
-
-    def test_symmetric(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            a = rng.random(50) < 0.4
-            b = rng.random(50) < 0.4
-            assert dice(a, b) == dice(b, a)
-
-    def test_self_dice_is_one(self):
-        rng = np.random.default_rng(8)
-        for _ in range(20):
-            a = rng.random(30) < 0.5
-            if a.any():
-                assert dice(a, a) == 1.0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            dice([1, 0], [1, 0, 1])
 
 
 class TestPercentileReport:

@@ -16,7 +16,6 @@ from drotrain.mlp import (
     PROB_FLOOR,
     MLPParams,
     Sample,
-    batch_losses,
     forward,
     forward_batch,
     init_params,
@@ -199,17 +198,6 @@ class TestPerSampleLoss:
         with pytest.raises(ValueError):
             per_sample_loss(params, Sample(np.ones(3), 2))
 
-    def test_batch_losses_agree(self):
-        rng = np.random.default_rng(43)
-        params = init_params((4, 6, 3), 11)
-        X = rng.normal(size=(9, 4))
-        y = rng.integers(3, size=9)
-        batched = batch_losses(params, X, y)
-        for i in range(9):
-            np.testing.assert_allclose(
-                batched[i], per_sample_loss(params, Sample(X[i], int(y[i]))), atol=1e-13
-            )
-
 
 class TestPredictProba:
     def test_rows_sum_to_one(self):
@@ -269,7 +257,8 @@ class TestGradients:
         y = rng.integers(3, size=B)
         w = rng.uniform(0.1, 10.0, size=B)
         losses, fused = weighted_loss_gradient(params, X, y, w)
-        np.testing.assert_allclose(losses, batch_losses(params, X, y), atol=1e-13)
+        expected = [per_sample_loss(params, Sample(X[j], int(y[j]))) for j in range(B)]
+        np.testing.assert_allclose(losses, expected, atol=1e-13)
         for k, (accW, accB) in enumerate(zip(fused.weights, fused.biases)):
             expW = np.zeros_like(accW)
             expB = np.zeros_like(accB)

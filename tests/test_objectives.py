@@ -17,7 +17,6 @@ from drotrain.objectives import (
     empirical_percentile,
     kl_divergence,
     lse_robust_loss,
-    mean_loss,
     optimal_weights,
 )
 
@@ -34,14 +33,14 @@ class TestValidation:
     """Invalid inputs are rejected loudly, never silently coerced."""
 
     def test_empty_losses_rejected(self):
-        for fn in (mean_loss, lambda v: lse_robust_loss(v, 1.0)):
+        for fn in (lambda v: lse_robust_loss(v, 1.0), lambda v: optimal_weights(v, 1.0)):
             with pytest.raises(ValueError):
                 fn([])
 
     def test_non_finite_losses_rejected(self):
         for bad in ([1.0, math.nan], [1.0, math.inf]):
             with pytest.raises(ValueError):
-                mean_loss(bad)
+                lse_robust_loss(bad, 1.0)
 
     def test_bad_beta_rejected(self):
         for beta in (0.0, -1.0, math.nan, math.inf):
@@ -66,17 +65,6 @@ class TestValidation:
             dro_inner_objective([1.0, 2.0], [-0.1, 1.1], 1.0)
         with pytest.raises(ValueError):
             dro_inner_objective([1.0, 2.0], [1.0], 1.0)
-
-
-class TestMeanLoss:
-    def test_arithmetic(self):
-        assert mean_loss([2.0, 4.0]) == 3.0
-
-    def test_single_element(self):
-        assert mean_loss([-1.25]) == -1.25
-
-    def test_zeros(self):
-        assert mean_loss([0.0, 0.0, 0.0]) == 0.0
 
 
 class TestEmpiricalPercentile:
@@ -328,7 +316,7 @@ class TestDroInnerObjective:
         rng = np.random.default_rng(61)
         losses = rng.normal(size=9)
         value = dro_inner_objective(losses, np.full(9, 1 / 9), 3.0)
-        np.testing.assert_allclose(value, mean_loss(losses), rtol=1e-12)
+        np.testing.assert_allclose(value, np.mean(losses), rtol=1e-12)
 
     def test_one_hot_on_argmax(self):
         losses = np.array([0.1, 1.4, 0.9])

@@ -207,8 +207,9 @@ class TestWriteScoresMatchesRowOracle:
         assert np.signbit(back.scores[0])
 
     def test_any_iterable_of_rows(self, tmp_path):
+        """A table built from a one-pass iterator of rows writes them all."""
         rows = _adversarial_rows()
-        self._assert_same_bytes(iter(rows), rows, tmp_path)
+        self._assert_same_bytes(ScoreTable(iter(rows)), rows, tmp_path)
 
 
 class TestLoadScoresAcrossBlocks:

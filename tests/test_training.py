@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from oracles import replacement_sgd_oracle
+from oracles import replacement_sgd_oracle, subset
 
 from drotrain import scores, training
 from drotrain._files import BLOCK_ROWS
@@ -322,7 +322,7 @@ class TestLockstepFolds:
             for f, (train_idx, _) in enumerate(result.splits):
                 fold_config = result.fold_configs[f]
                 alone = init_state(len(train_idx), result.dims, fold_config)
-                run_epochs(alone, dataset.subset(train_idx), fold_config, fold_config.epochs)
+                run_epochs(alone, subset(dataset, train_idx), fold_config, fold_config.epochs)
                 state = result.states[f]
                 assert state.epoch == alone.epoch == 3
                 assert _params_equal(state.params, alone.params)
@@ -457,21 +457,6 @@ class TestCrashSafeWrites:
             save_checkpoint(path, state, config)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["fold_0.ckpt"]
-
-    def test_failed_score_write_keeps_previous_file(self, tmp_path):
-        table = scores.ScoreTable([scores.ScoreRow(f"c{i}", "g", SCORE_REGION, 0.5) for i in range(3)])
-        path = tmp_path / "scores.csv"
-        scores.write_scores(table, path)
-        before = path.read_bytes()
-
-        def rows_then_crash():
-            yield scores.ScoreRow("c0", "g", SCORE_REGION, 0.25)
-            raise RuntimeError("killed")
-
-        with pytest.raises(RuntimeError, match="killed"):
-            scores.write_scores(rows_then_crash(), path)
-        assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["scores.csv"]
 
     def test_failed_score_table_write_keeps_previous_file(self, tmp_path):
         n = 3 * BLOCK_ROWS
