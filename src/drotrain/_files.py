@@ -1,11 +1,14 @@
-"""File helpers: whole-file replacement, and block-wise reading of CSV rows."""
+"""File helpers: whole-file replacement, and block-wise CSV reading and writing."""
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import itertools
 import os
 from pathlib import Path
+
+import numpy as np
 
 # Rows parsed (or written) per block.  Small enough that a block's strings
 # stay a minor share of memory at any file size, large enough that the
@@ -42,3 +45,19 @@ def blocks(rows, start: int):
     while block := list(itertools.islice(rows, BLOCK_ROWS)):
         yield start, block
         start += len(block)
+
+
+def write_rows(path, header, columns) -> None:
+    """Write ``header``, then the rows of the aligned ``columns``, a block of
+    ``BLOCK_ROWS`` rows at a time.
+
+    A numpy column is written through ``tolist``, so ``csv`` writes its
+    floats by repr and they read back bit-exact.  The file is replaced
+    whole, never left half-written.
+    """
+    with atomic_write(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for s in range(0, len(columns[0]), BLOCK_ROWS):
+            block = (c[s : s + BLOCK_ROWS] for c in columns)
+            writer.writerows(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in block)))

@@ -19,8 +19,6 @@ import sys
 import typing
 from pathlib import Path
 
-import numpy as np
-
 from . import datasets, scores, training
 from ._files import atomic_write
 from .metrics import (
@@ -32,7 +30,7 @@ from .metrics import (
     render_text,
 )
 from .sampler import SamplerConfig
-from .training import TrainConfig, cross_validate, ensemble_predict
+from .training import TrainConfig, cross_validate
 
 __all__ = ["main"]
 
@@ -91,15 +89,24 @@ def _check_keys(obj: dict, known, context: str) -> None:
         raise UsageError(f"{context}: unknown fields {sorted(unknown)}")
 
 
-def _check_types(block: dict, cls, context: str) -> None:
-    """Usage error unless each ``int`` field of the dataclass ``cls`` that
-    ``block`` sets holds an integer and each ``float`` field a number; a
-    bool is neither."""
+def _build(cls, block, context: str, **fixed):
+    """``cls(**block, **fixed)`` for the dataclass ``cls``, once ``block`` is
+    an object whose keys are fields of ``cls``, each ``int`` field an
+    integer and each ``float`` field a number (a bool is neither); any
+    failure, the constructor's included, is a usage error naming
+    ``context``."""
+    if not isinstance(block, dict):
+        raise UsageError(f"{context} must be an object, got {type(block).__name__}")
+    _check_keys(block, [f.name for f in dataclasses.fields(cls)], context)
     for name, kind in typing.get_type_hints(cls).items():
         if name in block and kind in NUMERIC_FIELDS:
             value, (accepted, noun) = block[name], NUMERIC_FIELDS[kind]
             if isinstance(value, bool) or not isinstance(value, accepted):
                 raise UsageError(f"{context}.{name} must be {noun}, got {value!r}")
+    try:
+        return cls(**block, **fixed)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"{context}: {exc}") from exc
 
 
 def _data_config(doc: dict) -> tuple:
@@ -107,15 +114,9 @@ def _data_config(doc: dict) -> tuple:
     block = doc.get("data")
     if not isinstance(block, dict):
         raise UsageError("config needs a 'data' object")
-    field_names = [f.name for f in dataclasses.fields(datasets.SyntheticConfig)]
-    _check_keys(block, field_names + ["seed"], "data config")
-    _check_types(block, datasets.SyntheticConfig, "data")
-    kwargs = dict(block)
-    seed = _seed(kwargs.pop("seed", 0), "data.seed")
-    try:
-        return datasets.SyntheticConfig(**kwargs), seed
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"data config: {exc}") from exc
+    block = dict(block)
+    seed = _seed(block.pop("seed", 0), "data.seed")
+    return _build(datasets.SyntheticConfig, block, "data"), seed
 
 
 def _env_seed():
@@ -147,15 +148,10 @@ def _arm_config(doc: dict, arm: str, seed: int) -> TrainConfig:
     for reserved, source in (("mode", "the --arm flag"), ("seed", "the seeds list")):
         if reserved in block:
             raise UsageError(f"train.{arm}: '{reserved}' is set by {source}, remove it")
-    _check_types(block, TrainConfig, f"train.{arm}")
-    if isinstance(block.get("sampler"), dict):
-        _check_types(block["sampler"], SamplerConfig, f"train.{arm}.sampler")
-    block["mode"] = arm
-    block["seed"] = seed
-    try:
-        return TrainConfig.from_dict(block)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"train.{arm}: {exc}") from exc
+    sampler = block.pop("sampler", None)
+    if sampler is not None:
+        sampler = _build(SamplerConfig, sampler, f"train.{arm}.sampler")
+    return _build(TrainConfig, block, f"train.{arm}", mode=arm, seed=seed, sampler=sampler)
 
 
 def _hidden_dims(doc: dict) -> tuple:
@@ -227,16 +223,7 @@ def cmd_train(args) -> int:
         scores_path = run_dir / "scores.csv"
         scores.write_scores(result.table, scores_path)
         if test_dataset is not None:
-            models = [s.params for s in result.states]
-            probs = ensemble_predict(models, test_dataset.features)
-            n = len(test_dataset)
-            table = scores.ScoreTable.from_columns(
-                test_dataset.case_ids,
-                test_dataset.groups,
-                [training.SCORE_REGION] * n,
-                probs[np.arange(n), test_dataset.labels],
-            )
-            scores.write_scores(table, run_dir / "scores_test.csv")
+            scores.write_scores(result.ensemble_table(test_dataset), run_dir / "scores_test.csv")
         print(f"arm={args.arm} seed={config.seed} folds={config.folds} -> {scores_path}")
     return 0
 

@@ -18,7 +18,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from ._files import BLOCK_ROWS, atomic_write, blocks
+from ._files import blocks, write_rows
 
 __all__ = [
     "SyntheticConfig",
@@ -158,19 +158,8 @@ def write_csv(dataset: Dataset, path) -> None:
     via repr, so the round-trip through :func:`read_csv` is bit-exact.  The
     file is replaced whole, never left half-written."""
     d = dataset.features.shape[1]
-    with atomic_write(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["case_id", "group", "label"] + [f"f{j}" for j in range(d)])
-        for s in range(0, len(dataset), BLOCK_ROWS):
-            e = s + BLOCK_ROWS
-            writer.writerows(
-                zip(
-                    dataset.case_ids[s:e],
-                    dataset.groups[s:e],
-                    dataset.labels[s:e].tolist(),
-                    *dataset.features[s:e].T.tolist(),
-                )
-            )
+    header = ["case_id", "group", "label"] + [f"f{j}" for j in range(d)]
+    write_rows(path, header, [dataset.case_ids, dataset.groups, dataset.labels, *dataset.features.T])
 
 
 def _parse_block(block, width: int) -> tuple:

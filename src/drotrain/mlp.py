@@ -136,11 +136,19 @@ def forward_batch(params: MLPParams, X) -> np.ndarray:
     A = np.asarray(X, dtype=float)
     if A.ndim != 2 or A.shape[1] != params.weights[0].shape[1]:
         raise ValueError(f"batch shape {A.shape} does not match model input")
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        A = A @ w.T + b
-        if i < len(params.weights) - 1:
-            A = np.maximum(A, 0.0)
-    return A
+    return _layers(params, A)[1][-1]
+
+
+def _layers(params: MLPParams, X: np.ndarray) -> tuple:
+    """``(inputs, pre-activations)`` of every layer; the last pre-activation
+    holds the logits.  Hidden layers apply ReLU to the previous
+    pre-activation, and a stack's layers act on each model's slice."""
+    inputs, zs = [X], []
+    for i, (W, b) in enumerate(zip(params.weights, params.biases)):
+        if i:
+            inputs.append(np.maximum(zs[-1], 0.0))
+        zs.append(inputs[-1] @ np.swapaxes(W, -1, -2) + b[..., None, :])
+    return inputs, zs
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -193,16 +201,7 @@ def weighted_loss_gradient(params: MLPParams, X, y, sample_weights) -> tuple:
     if X.shape[:-1] != y.shape or w.shape != y.shape:
         raise ValueError("X, y, and sample_weights must agree on the batch size")
 
-    # Forward, caching pre-activations for the backward pass.
-    acts = [X]
-    zs = []
-    A = X
-    for i, (W, b) in enumerate(zip(params.weights, params.biases)):
-        Z = A @ np.swapaxes(W, -1, -2) + b[..., None, :]
-        zs.append(Z)
-        A = np.maximum(Z, 0.0) if i < len(params.weights) - 1 else Z
-        acts.append(A)
-
+    acts, zs = _layers(params, X)
     logp = _log_softmax(zs[-1])
     true = (*np.indices(y.shape, sparse=True), y)  # each sample's true-class entry
     raw = -logp[true]

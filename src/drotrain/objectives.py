@@ -42,8 +42,7 @@ class RobustConfig:
     alpha: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.beta) and self.beta > 0):
-            raise ValueError(f"beta must be finite and > 0, got {self.beta}")
+        _check_beta(self.beta)
         if not (0.0 < self.alpha <= 1.0):
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
 

@@ -5,7 +5,10 @@ mini-batch indices i.i.d. (with replacement) from ``softmax(beta * stale)``,
 which is exactly the adversarial weighting of
 :func:`drotrain.objectives.optimal_weights`.  Each drawn index comes with an
 importance weight ``clip(n * q_i, w_min, w_max)``; with ``beta -> 0`` the
-distribution is uniform and every weight is 1, recovering plain SGD.
+distribution is uniform and every weight is 1, recovering plain SGD.  A
+sampler that is never fed losses keeps every leaf at ``init_loss``, so it
+draws uniformly with weights of exactly 1 (for clipping bounds around 1, as
+the default's): the with-replacement mean-loss reference.
 
 Draws come from a two-level sum tree kept in log space, the proportional
 sampler of Prioritized Experience Replay (Schaul et al., arXiv:1511.05952).
@@ -35,9 +38,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .objectives import optimal_weights
+from .objectives import _check_beta, optimal_weights
 
-__all__ = ["SamplerConfig", "HardnessWeightedSampler", "UniformReplacementSampler", "tree_shape"]
+__all__ = ["SamplerConfig", "HardnessWeightedSampler", "tree_shape"]
 
 
 @dataclass(frozen=True)
@@ -45,8 +48,11 @@ class SamplerConfig:
     """Temperature, importance-weight clipping bounds, and stale-loss init.
 
     ``init_loss`` should exceed any achievable per-sample loss so that every
-    sample stays competitive until it has been visited once (for losses
-    bounded in [0, 1] the default 1.0 does this).
+    sample stays competitive until it has been visited once.  The default
+    1.0 does not: the clamped cross-entropy of :mod:`drotrain.mlp` reaches
+    ``MAX_LOSS`` (about 27.63), which is what a dro ``TrainConfig`` without
+    a sampler config uses.  ``beta * init_loss`` must be finite, since the
+    tree's leaves are ``beta`` times the stale losses.
     """
 
     beta: float = 100.0
@@ -55,15 +61,14 @@ class SamplerConfig:
     init_loss: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.beta) and self.beta > 0):
-            raise ValueError(f"beta must be finite and > 0, got {self.beta}")
+        _check_beta(self.beta)
         if not (0.0 < self.w_min <= self.w_max and math.isfinite(self.w_max)):
             raise ValueError(
                 f"clipping bounds must be finite and satisfy 0 < w_min <= w_max, "
                 f"got [{self.w_min}, {self.w_max}]"
             )
-        if not math.isfinite(self.init_loss):
-            raise ValueError("init_loss must be finite")
+        if not math.isfinite(self.beta * self.init_loss):
+            raise ValueError(f"beta * init_loss must be finite, got {self.beta} * {self.init_loss}")
 
 
 def _block_size(n: int) -> int:
@@ -329,19 +334,3 @@ class HardnessWeightedSampler:
         sampler._refresh_all()
         sampler._rngs[0].bit_generator.state = state["rng_state"]
         return sampler
-
-
-class UniformReplacementSampler(HardnessWeightedSampler):
-    """Uniform-with-replacement reference sharing the draw contract above.
-
-    The constant-leaf case of hardness weighting: :meth:`update_losses`
-    ignores the losses it is fed, so the stale losses stay at ``init_loss``,
-    the distribution stays exactly 1/n, and every draw has importance weight
-    exactly ``n * (1/n) = 1`` (for clipping bounds around 1, as the
-    default's).  A :class:`HardnessWeightedSampler` seeded the same way
-    produces a bit-identical index stream until its first loss update, which
-    is the degenerate plain-SGD limit of hardness weighting.
-    """
-
-    def update_losses(self, indices, losses) -> None:
-        """Ignore the losses: the distribution stays uniform."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._files import BLOCK_ROWS, atomic_write, blocks
+from ._files import blocks, write_rows
 
 __all__ = ["ScoreRow", "ScoreTable", "load_scores", "write_scores"]
 
@@ -189,10 +189,4 @@ def write_scores(table: ScoreTable, path) -> None:
     ``write_scores(load_scores(p), p2)`` reproduces canonical files
     byte-for-byte.  The file is replaced whole, never left half-written.
     """
-    columns = (table.case_ids, table.groups, table.regions)
-    with atomic_write(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(HEADER)
-        for s in range(0, len(table), BLOCK_ROWS):
-            e = s + BLOCK_ROWS
-            writer.writerows(zip(*(c[s:e] for c in columns), table.scores[s:e].tolist()))
+    write_rows(path, HEADER, [table.case_ids, table.groups, table.regions, table.scores])

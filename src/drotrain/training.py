@@ -4,17 +4,17 @@ hardness-weighted sampling, fold ensembling, and checkpoints.
 Every regime trains through one loop, :func:`run_epochs`.  Each step draws
 a batch of case positions with importance weights, gathers their rows,
 takes one SGD step on the weighted-mean gradient, and feeds the raw losses
-back to whatever drew the batch.  The state picks the regime.  A state that
-holds generators trains on mean loss: each epoch shuffles the training set
-and walks it in mini-batches without replacement, with unit weights and no
-feedback.  A state that holds a sampler draws each batch with replacement
-from it and feeds it the losses: a :class:`HardnessWeightedSampler` gives
-the robust regime, whose draws follow the softmax of the stale losses with
-clipped importance weights, and a :class:`UniformReplacementSampler`, which
-ignores the losses, gives mean-loss training with replacement.  Everything
-is deterministic given the config seed, and a checkpoint restores mid-run
-state exactly: running a+b epochs equals running a, saving, loading, and
-running b.
+back to the sampler that drew the batch.  The state picks the regime.  A
+state that holds generators trains on mean loss: each epoch shuffles the
+training set and walks it in mini-batches without replacement, with unit
+weights and no feedback.  A state that holds a
+:class:`HardnessWeightedSampler` draws each batch with replacement from it.
+In the robust regime (mode ``"dro"``) the sampler is fed the losses, so its
+draws follow the softmax of the stale losses with clipped importance
+weights; in mode ``"erm"`` it is never fed, so it draws uniformly with unit
+weights: mean-loss training with replacement.  Everything is deterministic
+given the config seed, and a checkpoint restores mid-run state exactly:
+running a+b epochs equals running a, saving, loading, and running b.
 
 Cross-validation trains the folds of one seed in lockstep, as a stack: the
 parameters carry a leading fold axis, each step makes one gradient call and
@@ -35,7 +35,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -45,12 +45,11 @@ from .mlp import (
     MAX_LOSS,
     MLPParams,
     init_params,
-    predict_proba,
     sgd_step,
     true_class_prob,
     weighted_loss_gradient,
 )
-from .sampler import HardnessWeightedSampler, SamplerConfig, UniformReplacementSampler, tree_shape
+from .sampler import HardnessWeightedSampler, SamplerConfig, tree_shape
 from .scores import ScoreTable
 
 __all__ = [
@@ -65,7 +64,6 @@ __all__ = [
     "train_erm",
     "train_dro",
     "train_replacement_erm",
-    "ensemble_predict",
     "plan_folds",
     "cross_validate",
     "config_digest",
@@ -117,31 +115,14 @@ class TrainConfig:
     def to_dict(self) -> dict:
         return {k: v for k, v in asdict(self).items() if v is not None}
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "TrainConfig":
-        kwargs = _fields_of(cls, obj, "train")
-        if kwargs.get("sampler") is not None:
-            kwargs["sampler"] = SamplerConfig(**_fields_of(SamplerConfig, kwargs["sampler"], "sampler"))
-        return cls(**kwargs)
-
-
-def _fields_of(cls, obj, what: str) -> dict:
-    """A copy of ``obj`` once it is a dict whose keys are fields of the
-    dataclass ``cls``."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{what} config must be an object, got {type(obj).__name__}")
-    unknown = set(obj) - {f.name for f in fields(cls)}
-    if unknown:
-        raise ValueError(f"unknown {what} config fields: {sorted(unknown)}")
-    return dict(obj)
-
 
 @dataclass
 class TrainState:
     """Mid-run snapshot: parameters plus whichever RNG the regime uses.
 
     The state of a stack of M models (see :func:`init_stack`) holds stacked
-    parameters and either a list of M generators or a stacked sampler.
+    parameters and either a list of M generators or a stacked sampler.  A
+    sampler learns from the losses only when ``mode`` is ``"dro"``.
     """
 
     params: MLPParams
@@ -198,11 +179,12 @@ def run_epochs(
 
     An epoch is floor(n / batch_size) SGD steps in every regime, so all see
     the same number of updates per epoch.  A state without a sampler
-    shuffles with its generators; a state with one draws from it and feeds
-    it the raw losses.  A stack of M models (see :func:`init_stack`) takes
-    ``rows``, M arrays of dataset rows whose lengths give one step count:
-    model k trains on the dataset's rows ``rows[k]``, bit for bit as on a
-    dataset of just those rows, without that dataset being built.
+    shuffles with its generators; a state with one draws from it, and feeds
+    it the raw losses in mode ``"dro"`` only.  A stack of M models (see
+    :func:`init_stack`) takes ``rows``, M arrays of dataset rows whose
+    lengths give one step count: model k trains on the dataset's rows
+    ``rows[k]``, bit for bit as on a dataset of just those rows, without
+    that dataset being built.
     """
     if rows is None:  # one model on the whole dataset, in order
         rows, rngs, lead = [np.arange(len(dataset))], [state.rng], ()
@@ -252,7 +234,7 @@ def run_epochs(
         for at, idx, w in batches():
             losses, grad = weighted_loss_gradient(state.params, X[at], y[at], w)
             state.params = sgd_step(state.params, grad, config.learning_rate)
-            if state.sampler is not None:
+            if state.mode == "dro":
                 # Sampler sees raw losses: it models the loss landscape, not
                 # the reweighted estimator.
                 state.sampler.update_losses(idx, losses)
@@ -281,25 +263,13 @@ def train_replacement_erm(dataset: Dataset, dims, config: TrainConfig) -> MLPPar
     """Mean-loss SGD with uniform with-replacement batches.
 
     Exists for apples-to-apples comparison against the robust regime, whose
-    sampling is necessarily with-replacement: with beta -> 0 and unit
-    clipping the robust regime equals this one in law.
+    sampling is necessarily with-replacement: the same sampler, never fed a
+    loss in mode ``"erm"``, draws uniformly with unit weights.
     """
     init_ss, loop_ss = np.random.SeedSequence(config.seed).spawn(2)
     params = init_params(_check_dims(dataset, dims), init_ss)
-    state = TrainState(params, 0, "erm", sampler=UniformReplacementSampler(len(dataset), seed=loop_ss))
+    state = TrainState(params, 0, "erm", sampler=HardnessWeightedSampler(len(dataset), seed=loop_ss))
     return run_epochs(state, dataset, config, config.epochs).params
-
-
-def ensemble_predict(models, features) -> np.ndarray:
-    """Arithmetic mean of per-model softmax probabilities; rows sum to 1."""
-    if not models:
-        raise ValueError("ensemble_predict needs at least one model")
-    dims = models[0].dims
-    if any(m.dims != dims for m in models):
-        raise ValueError("ensemble models must share layer dimensions")
-    X = np.atleast_2d(np.asarray(features, dtype=float))
-    stacked = np.stack([predict_proba(m, X) for m in models])
-    return stacked.mean(axis=0)
 
 
 @dataclass
@@ -311,6 +281,13 @@ class CrossValResult:
     fold_configs: list
     splits: list
     table: ScoreTable
+
+    def ensemble_table(self, dataset: Dataset) -> ScoreTable:
+        """Every case of ``dataset`` scored by the mean over the fold models
+        of the probability each assigns to the true class."""
+        rows = np.arange(len(dataset))
+        scores = sum(_score_rows(state.params, dataset, rows) for state in self.states) / len(self.states)
+        return _score_table(dataset, rows, scores)
 
 
 def _fold_seed(seed: int, fold: int) -> int:
@@ -347,6 +324,13 @@ def _score_rows(params: MLPParams, dataset: Dataset, rows) -> np.ndarray:
     return out
 
 
+def _score_table(dataset: Dataset, rows, scores) -> ScoreTable:
+    """The table of ``dataset``'s ``rows``, in that order, with ``scores``."""
+    at = rows.tolist()
+    groups, case_ids = [dataset.groups[i] for i in at], [dataset.case_ids[i] for i in at]
+    return ScoreTable.from_columns(case_ids, groups, [SCORE_REGION] * len(at), scores)
+
+
 def cross_validate(dataset: Dataset, hidden_dims, config: TrainConfig) -> CrossValResult:
     """Train one model per fold; score each held-out case by its fold's model.
 
@@ -375,13 +359,7 @@ def cross_validate(dataset: Dataset, hidden_dims, config: TrainConfig) -> CrossV
     for f, (_, val_idx) in enumerate(splits):
         scores[val_idx] = _score_rows(states[f].params, dataset, val_idx)
     held_out = np.sort(np.concatenate([val_idx for _, val_idx in splits]))
-    rows = held_out.tolist()
-    table = ScoreTable.from_columns(
-        [dataset.case_ids[i] for i in rows],
-        [dataset.groups[i] for i in rows],
-        [SCORE_REGION] * len(rows),
-        scores[held_out],
-    )
+    table = _score_table(dataset, held_out, scores[held_out])
     return CrossValResult(dims, states, fold_configs, splits, table)
 
 

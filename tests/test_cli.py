@@ -1,11 +1,14 @@
 """End-to-end tests for the command line front door, run in-process."""
 
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from drotrain import cli, datasets
+from drotrain import cli, datasets, training
 from drotrain.cli import main
+from drotrain.mlp import predict_proba
 from drotrain.scores import load_scores
 
 BASE_CONFIG = {
@@ -167,6 +170,14 @@ class TestTrain:
             ("train", {"train": {"erm": {"epochs": 2, "learning_rate": float("inf")}}}, "learning_rate"),
             ("train", {"train": {"erm": {"epochs": 2, "learning_rate": True}}}, "train.erm.learning_rate"),
             ("train", {"train": {"erm": {"epochs": 2, "sampler": {"beta": True}}}}, "train.erm.sampler.beta"),
+            ("train", {"train": {"erm": {"epochs": 2, "sampler": {"beta": 1e308, "init_loss": 1e308}}}}, "init_loss"),
+            ("train", {"train": {"erm": {"epochs": 2, "momentum": 0.9}}}, "train.erm: unknown fields ['momentum']"),
+            (
+                "train",
+                {"train": {"erm": {"epochs": 2, "sampler": {"beta": 2.0, "tau": 1.0}}}},
+                "train.erm.sampler: unknown fields ['tau']",
+            ),
+            ("train", {"train": {"erm": {"epochs": 2, "sampler": [1, 2, 3]}}}, "train.erm.sampler must be an object"),
             ("train", {"test_dataset": 7}, "test_dataset"),
             ("train", {"test_dataset": True}, "test_dataset"),
             ("train", {"test_dataset": 0}, "test_dataset"),
@@ -189,6 +200,10 @@ class TestTrain:
             "learning_rate-inf",
             "learning_rate-bool",
             "sampler-beta-bool",
+            "sampler-beta-init_loss-overflow",
+            "train-unknown-key",
+            "sampler-unknown-key",
+            "sampler-not-object",
             "test_dataset-int",
             "test_dataset-bool",
             "test_dataset-zero",
@@ -321,6 +336,62 @@ class TestTrain:
         assert main(["train", "--config", str(config), "--arm", "erm"]) == 0
         assert (out / "erm" / "seed_7").exists()
         assert not (out / "erm" / "seed_0").exists()
+
+    @pytest.mark.parametrize(
+        "arm, block, digest",
+        [
+            (
+                "erm",
+                {"epochs": 2, "batch_size": 8, "folds": 3},
+                "0caa057a0da50bf7321f0e5c88e4dbf23834942206edc44d8ff996d1f72292e6",
+            ),
+            (
+                "dro",
+                {
+                    "epochs": 2,
+                    "batch_size": 8,
+                    "folds": 3,
+                    "learning_rate": 0.01,
+                    "sampler": {"beta": 50.0, "w_min": 0.2, "init_loss": 3.5},
+                },
+                "dc290635a346cfeb4028cb01dc2e28d9a3f21f23e79da23f53f78d299b896595",
+            ),
+            (
+                "dro",
+                {"epochs": 2, "batch_size": 8, "folds": 3},
+                "d864fbd35c3919c564a00e7c5efc4ca4ab0ed1c4c7ac84a9de79525b9c28c8cb",
+            ),
+        ],
+        ids=["erm", "dro", "dro-default-sampler"],
+    )
+    def test_config_digest_is_pinned(self, arm, block, digest):
+        """A train block builds the config it always built: checkpoints
+        written before keep loading under it."""
+        config = cli._arm_config({"train": {arm: block}}, arm, 7)
+        assert training.config_digest(config, (4, 8, 3)).hex() == digest
+
+    def test_test_dataset_scores_equal_ensemble_oracle(self, tmp_path):
+        """Each test case's score is the mean, over the fold models loaded
+        from their checkpoints, of the probabilities each assigns to the
+        classes, read at the true class; 4200 cases span two score blocks."""
+        held_out = datasets.generate(datasets.SyntheticConfig(n_samples=4200, n_features=4, n_classes=3), seed=9)
+        held_out_path = tmp_path / "held_out.csv"
+        datasets.write_csv(held_out, held_out_path)
+        out = tmp_path / "run"
+        config_path = _write_config(tmp_path, out, test_dataset=str(held_out_path))
+        assert main(["generate", "--config", str(config_path)]) == 0
+        assert main(["train", "--config", str(config_path), "--arm", "dro"]) == 0
+        config = cli._arm_config(BASE_CONFIG, "dro", 0)
+        run_dir = out / "dro" / "seed_0"
+        models = [
+            training.load_checkpoint(run_dir / f"fold_{f}.ckpt", replace(config, seed=training._fold_seed(0, f))).params
+            for f in range(config.folds)
+        ]
+        probs = np.stack([predict_proba(m, held_out.features) for m in models]).mean(axis=0)
+        table = load_scores(run_dir / "scores_test.csv")
+        assert table.case_ids == held_out.case_ids
+        assert table.groups == held_out.groups
+        np.testing.assert_array_equal(table.scores, probs[np.arange(len(held_out)), held_out.labels])
 
     def test_test_dataset_scored_by_ensemble(self, tmp_path):
         held_out = datasets.generate(datasets.SyntheticConfig(n_samples=25, n_features=4, n_classes=3), seed=9)

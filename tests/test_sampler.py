@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from drotrain.objectives import optimal_weights
-from drotrain.sampler import HardnessWeightedSampler, SamplerConfig, UniformReplacementSampler
+from drotrain.sampler import HardnessWeightedSampler, SamplerConfig
 from oracles import lse_highprec
 
 
@@ -38,6 +38,16 @@ class TestConfigValidation:
         for w_max in (math.inf, math.nan):
             with pytest.raises(ValueError):
                 SamplerConfig(w_max=w_max)
+
+    @pytest.mark.parametrize("beta, init_loss", [(1.0, math.inf), (1.0, math.nan), (1e308, 1e308), (1e200, -1e200)])
+    def test_leaf_scale_must_be_finite(self, beta, init_loss):
+        """The tree's leaves are beta times the stale losses, so their
+        product must be finite even when each factor is."""
+        with pytest.raises(ValueError, match="init_loss"):
+            SamplerConfig(beta=beta, init_loss=init_loss)
+
+    def test_large_finite_leaf_scale_accepted(self):
+        assert SamplerConfig(beta=1e300, init_loss=1e7).init_loss == 1e7
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
@@ -338,13 +348,16 @@ class TestSumTreeProperties:
 
 
 class TestUniformReference:
+    """A sampler that is never fed losses is the uniform-with-replacement
+    reference: mean-loss training with replacement draws from one."""
+
     def test_constant_stale_stream_equals_uniform_reference(self):
         """Before any loss update the hardness sampler is exactly uniform:
         its index stream is bit-identical to the uniform-with-replacement
         reference seeded the same way, for any beta."""
         for beta in (1e-8, 1.0, 100.0):
             h = HardnessWeightedSampler(33, SamplerConfig(beta=beta), seed=99)
-            u = UniformReplacementSampler(33, seed=99)
+            u = HardnessWeightedSampler(33, seed=99)
             for _ in range(4):
                 ih, _ = h.draw(50)
                 iu, wu = u.draw(50)
@@ -352,7 +365,7 @@ class TestUniformReference:
                 np.testing.assert_array_equal(wu, np.ones(50))
 
     def test_uniform_reference_law(self):
-        u = UniformReplacementSampler(9, seed=17)
+        u = HardnessWeightedSampler(9, seed=17)
         idx, _ = u.draw(90_000)
         freq = np.bincount(idx, minlength=9) / 90_000
         np.testing.assert_allclose(freq, 1 / 9, atol=0.01)

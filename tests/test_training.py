@@ -1,6 +1,7 @@
 """Verification tests for the training loops, cross-validation, checkpoints."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,12 +18,11 @@ from drotrain.mlp import (
     true_class_prob,
     weighted_loss_gradient,
 )
-from drotrain.sampler import SamplerConfig, UniformReplacementSampler
+from drotrain.sampler import HardnessWeightedSampler, SamplerConfig
 from drotrain.training import (
     SCORE_REGION,
     TrainConfig,
     cross_validate,
-    ensemble_predict,
     init_state,
     load_checkpoint,
     run_epochs,
@@ -83,22 +83,6 @@ class TestTrainConfig:
     def test_invalid_fields(self, kwargs):
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
-
-    def test_dict_roundtrip_both_modes(self):
-        for config in (TrainConfig(epochs=3, seed=9), TrainConfig(mode="dro", batch_size=16)):
-            assert TrainConfig.from_dict(config.to_dict()) == config
-
-    def test_unknown_field_rejected(self):
-        with pytest.raises(ValueError, match="unknown"):
-            TrainConfig.from_dict({"epochs": 3, "momentum": 0.9})
-
-    def test_unknown_sampler_field_rejected(self):
-        with pytest.raises(ValueError, match="sampler"):
-            TrainConfig.from_dict({"mode": "dro", "sampler": {"beta": 2.0, "tau": 1.0}})
-
-    def test_non_dict_rejected(self):
-        with pytest.raises(ValueError):
-            TrainConfig.from_dict([1, 2, 3])
 
 
 class TestTrainingLoops:
@@ -177,7 +161,7 @@ class TestTrainingLoops:
         config = TrainConfig(epochs=3, batch_size=8, learning_rate=0.5, seed=seed)
         init_ss, loop_ss = np.random.SeedSequence(seed).spawn(2)
         start = init_params(dims, init_ss)
-        sampler = UniformReplacementSampler(len(dataset), seed=loop_ss)
+        sampler = HardnessWeightedSampler(len(dataset), seed=loop_ss)
         weights, biases = replacement_sgd_oracle(
             dataset.features,
             dataset.labels,
@@ -197,35 +181,6 @@ class TestTrainingLoops:
         state = init_state(len(dataset), (2, 4, 2), config)
         run_epochs(state, dataset, config, 1)
         assert (state.sampler.stale_losses != MAX_LOSS).any()
-
-
-class TestEnsemblePredict:
-    def test_single_model_matches_predict_proba(self):
-        params = init_params((3, 5, 2), seed=1)
-        X = np.random.default_rng(0).standard_normal((7, 3))
-        assert np.array_equal(ensemble_predict([params], X), predict_proba(params, X))
-
-    def test_two_model_mean(self):
-        rng = np.random.default_rng(2)
-        a = init_params((3, 4, 2), seed=1)
-        b = init_params((3, 4, 2), seed=2)
-        X = rng.standard_normal((5, 3))
-        expected = 0.5 * (predict_proba(a, X) + predict_proba(b, X))
-        assert np.allclose(ensemble_predict([a, b], X), expected, rtol=0, atol=1e-15)
-
-    def test_rows_sum_to_one(self):
-        models = [init_params((4, 6, 3), seed=s) for s in range(4)]
-        X = np.random.default_rng(3).standard_normal((11, 4))
-        probs = ensemble_predict(models, X)
-        assert np.allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-
-    def test_empty_ensemble_rejected(self):
-        with pytest.raises(ValueError):
-            ensemble_predict([], np.zeros((1, 3)))
-
-    def test_mismatched_dims_rejected(self):
-        with pytest.raises(ValueError):
-            ensemble_predict([init_params((3, 4, 2), 0), init_params((3, 5, 2), 0)], np.zeros((1, 3)))
 
 
 class TestCrossValidate:
@@ -421,6 +376,32 @@ class TestCheckpoint:
 
         assert resumed.epoch == 4
         assert _params_equal(resumed.params, straight.params)
+
+    def test_replacement_resume_equals_straight_run(self, tmp_path, monkeypatch):
+        """A with-replacement mean-loss run saved after 2 epochs, loaded and
+        run 2 more ends bit-identical to 4 epochs straight: the loaded
+        sampler stays unfed, as the saved one was."""
+        dataset = _blob_dataset(48)
+        dims = (2, 6, 2)
+        config = TrainConfig(epochs=4, batch_size=8, seed=6)
+        straight = train_replacement_erm(dataset, dims, config)
+
+        states = []
+
+        def spy(state, *args):
+            states.append(state)
+            return run_epochs(state, *args)
+
+        monkeypatch.setattr(training, "run_epochs", spy)
+        train_replacement_erm(dataset, dims, replace(config, epochs=2))
+        path = tmp_path / "half.ckpt"
+        save_checkpoint(path, states[0], config)
+        resumed = load_checkpoint(path, config)
+        run_epochs(resumed, dataset, config, 2)
+
+        assert resumed.epoch == 4
+        assert _params_equal(resumed.params, straight)
+        np.testing.assert_array_equal(resumed.sampler.stale_losses, np.ones(len(dataset)))
 
     def test_config_mismatch_rejected(self, tmp_path):
         dataset = _blob_dataset(30)
