@@ -69,16 +69,18 @@ def _load_config(path) -> dict:
     return doc
 
 
-def _integer(value, what: str) -> int:
-    """``value`` if it is an integer (not a bool), else a usage error."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise UsageError(f"{what} must be an integer, got {value!r}")
+def _number(value, kind, what: str):
+    """``value`` if it is a JSON value of the numeric field type ``kind``
+    (a bool is none), else a usage error."""
+    accepted, noun = NUMERIC_FIELDS[kind]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise UsageError(f"{what} must be {noun}, got {value!r}")
     return value
 
 
 def _seed(value, what: str) -> int:
     """``value`` if it is a non-negative integer, else a usage error."""
-    if _integer(value, what) < 0:
+    if _number(value, int, what) < 0:
         raise UsageError(f"{what} must be >= 0, got {value}")
     return value
 
@@ -100,9 +102,7 @@ def _build(cls, block, context: str, **fixed):
     _check_keys(block, [f.name for f in dataclasses.fields(cls)], context)
     for name, kind in typing.get_type_hints(cls).items():
         if name in block and kind in NUMERIC_FIELDS:
-            value, (accepted, noun) = block[name], NUMERIC_FIELDS[kind]
-            if isinstance(value, bool) or not isinstance(value, accepted):
-                raise UsageError(f"{context}.{name} must be {noun}, got {value!r}")
+            _number(block[name], kind, f"{context}.{name}")
     try:
         return cls(**block, **fixed)
     except (TypeError, ValueError) as exc:
@@ -156,7 +156,7 @@ def _arm_config(doc: dict, arm: str, seed: int) -> TrainConfig:
 
 def _hidden_dims(doc: dict) -> tuple:
     raw = doc.get("hidden", list(DEFAULT_HIDDEN))
-    if not isinstance(raw, list) or not raw or any(_integer(h, "hidden sizes") < 1 for h in raw):
+    if not isinstance(raw, list) or not raw or any(_number(h, int, "hidden sizes") < 1 for h in raw):
         raise UsageError("'hidden' must be a non-empty list of positive layer sizes")
     return tuple(raw)
 
@@ -230,42 +230,32 @@ def cmd_train(args) -> int:
 
 def cmd_report(args) -> int:
     try:
-        table = scores.load_scores(args.scores)
-        report = percentile_report(table)
+        report = percentile_report(scores.load_scores(args.scores))
         comparison = None
         if args.baseline:
-            baseline = percentile_report(scores.load_scores(args.baseline))
-            comparison = compare_reports(baseline, report)
+            comparison = compare_reports(percentile_report(scores.load_scores(args.baseline)), report)
     except (OSError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
 
-    text = render_text(report)
-    as_json = render_json(report)
+    # Every output once, by file name; --out writes them all and stdout
+    # prints those of the chosen format.
+    files = {"report.txt": render_text(report), "report.json": render_json(report)}
     if comparison is not None:
-        comparison_text = render_comparison_text(comparison)
-        comparison_json = render_comparison_json(comparison)
-
+        files["comparison.txt"] = render_comparison_text(comparison)
+        files["comparison.json"] = render_comparison_json(comparison)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        files = {"report.txt": text, "report.json": as_json}
-        if comparison is not None:
-            files |= {"comparison.txt": comparison_text, "comparison.json": comparison_json}
         for name, content in files.items():
             with atomic_write(out / name, "w", encoding="utf-8") as fh:
                 fh.write(content)
 
     if args.format == "json":
-        if comparison is None:
-            sys.stdout.write(as_json)
-        else:
-            doc = {"report": json.loads(as_json), "comparison": json.loads(comparison_json)}
-            sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+        docs = {Path(name).stem: json.loads(text) for name, text in files.items() if name.endswith(".json")}
+        sys.stdout.write(files["report.json"] if comparison is None else json.dumps(docs, indent=2) + "\n")
     else:
-        sys.stdout.write(text)
-        if comparison is not None:
-            sys.stdout.write("\ndeltas vs baseline (percent points)\n")
-            sys.stdout.write(comparison_text)
+        texts = [text for name, text in files.items() if name.endswith(".txt")]
+        sys.stdout.write("\ndeltas vs baseline (percent points)\n".join(texts))
     return 0
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
@@ -69,6 +70,10 @@ class SyntheticConfig:
                 f"n_features ({self.n_features}) must be >= n_classes ({self.n_classes}) "
                 "so class centres occupy distinct axes"
             )
+        # The largest array, of features or of class centres, must fit in the
+        # bytes numpy can index.
+        if max(self.n_samples, self.n_classes) * self.n_features * 8 > np.iinfo(np.intp).max:
+            raise ValueError("max(n_samples, n_classes) * n_features f64 values exceed what numpy can index")
         if not 0.0 < self.minority_fraction < 1.0:
             raise ValueError(f"minority_fraction must be in (0, 1), got {self.minority_fraction}")
         if not 0.0 < self.minority_radius <= self.majority_radius < math.inf:
@@ -106,11 +111,7 @@ class Dataset:
 
     def prevalence(self) -> dict:
         """Group fractions, keys in first-encountered order, summing to 1."""
-        counts: dict = {}
-        for g in self.groups:
-            counts[g] = counts.get(g, 0) + 1
-        n = len(self)
-        return {g: c / n for g, c in counts.items()}
+        return {g: c / len(self) for g, c in Counter(self.groups).items()}
 
 
 def _class_centres(config: SyntheticConfig) -> tuple:

@@ -141,18 +141,21 @@ def compare_reports(a: PercentileReport, b: PercentileReport) -> ReportCompariso
     return ReportComparison(groups)
 
 
+def _rounded(value: float, plus: str) -> str:
+    """|value| to one decimal, half away from zero, after a '-' when it is
+    negative and does not round to zero, else after ``plus``."""
+    magnitude = math.floor(abs(value) * 10.0 + 0.5) / 10.0
+    return ("-" if value < 0 and magnitude else plus) + f"{magnitude:.1f}"
+
+
 def render_value(value: float) -> str:
     """One decimal, half away from zero: 80.25 -> '80.3' (not banker's)."""
-    rounded = math.copysign(math.floor(abs(value) * 10.0 + 0.5) / 10.0, value)
-    return f"{abs(rounded):.1f}" if rounded == 0 else f"{rounded:.1f}"
+    return _rounded(value, "")
 
 
 def render_delta(value: float) -> str:
     """Signed one-decimal delta; anything rounding to zero is '+0.0'."""
-    magnitude = math.floor(abs(value) * 10.0 + 0.5) / 10.0
-    if magnitude == 0.0:
-        return "+0.0"
-    return ("+" if value > 0 else "-") + f"{magnitude:.1f}"
+    return _rounded(value, "+")
 
 
 def _render_blocks(groups, title, cells) -> str:
@@ -183,36 +186,29 @@ def render_comparison_text(comparison: ReportComparison) -> str:
     return _render_blocks(comparison.groups, lambda b: b.name, lambda deltas: map(render_delta, deltas))
 
 
-def render_json(report: PercentileReport) -> str:
-    """Machine-readable form: full-precision percent values, stable order."""
+def _render_json(groups, group_fields, cells) -> str:
+    """The ``{"groups": [...]}`` document: each group's name, the fields
+    ``group_fields(block)`` and its regions, each region's name followed by
+    the fields ``cells(value)``."""
     doc = {
         "groups": [
-            {
-                "name": g.name,
-                "cases": g.cases,
-                "regions": [
-                    {"name": region, "count": stats.count}
-                    | {name: value for name, value in zip(CELL_NAMES, stats.cells())}
-                    for region, stats in g.regions
-                ],
-            }
-            for g in report.groups
+            {"name": g.name}
+            | group_fields(g)
+            | {"regions": [{"name": region} | cells(value) for region, value in g.regions]}
+            for g in groups
         ]
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+def render_json(report: PercentileReport) -> str:
+    """Machine-readable form: full-precision percent values, stable order."""
+    return _render_json(
+        report.groups,
+        lambda g: {"cases": g.cases},
+        lambda s: {"count": s.count} | dict(zip(CELL_NAMES, s.cells())),
+    )
 
 
 def render_comparison_json(comparison: ReportComparison) -> str:
-    doc = {
-        "groups": [
-            {
-                "name": g.name,
-                "regions": [
-                    {"name": region} | {name: value for name, value in zip(CELL_NAMES, deltas)}
-                    for region, deltas in g.regions
-                ],
-            }
-            for g in comparison.groups
-        ]
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return _render_json(comparison.groups, lambda g: {}, lambda deltas: dict(zip(CELL_NAMES, deltas)))

@@ -125,10 +125,7 @@ def init_params(dims, seed: int) -> MLPParams:
 
 def forward(params: MLPParams, features) -> np.ndarray:
     """Logits for a single feature vector."""
-    x = np.asarray(features, dtype=float)
-    if x.shape != (params.dims[0],):
-        raise ValueError(f"feature shape {x.shape} does not match model input ({params.dims[0]},)")
-    return forward_batch(params, x[np.newaxis])[0]
+    return forward_batch(params, np.asarray(features, dtype=float)[np.newaxis])[0]
 
 
 def forward_batch(params: MLPParams, X) -> np.ndarray:

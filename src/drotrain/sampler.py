@@ -38,6 +38,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .mlp import MAX_LOSS
 from .objectives import _check_beta, optimal_weights
 
 __all__ = ["SamplerConfig", "HardnessWeightedSampler", "tree_shape"]
@@ -51,8 +52,10 @@ class SamplerConfig:
     sample stays competitive until it has been visited once.  The default
     1.0 does not: the clamped cross-entropy of :mod:`drotrain.mlp` reaches
     ``MAX_LOSS`` (about 27.63), which is what a dro ``TrainConfig`` without
-    a sampler config uses.  ``beta * init_loss`` must be finite, since the
-    tree's leaves are ``beta`` times the stale losses.
+    a sampler config uses.  The tree's leaves are ``beta`` times the stale
+    losses, which start at ``init_loss`` and then lie in ``[0, MAX_LOSS]``,
+    so ``beta * (|init_loss| + MAX_LOSS)`` must be finite: it bounds every
+    leaf and every difference of two leaves.
     """
 
     beta: float = 100.0
@@ -67,8 +70,10 @@ class SamplerConfig:
                 f"clipping bounds must be finite and satisfy 0 < w_min <= w_max, "
                 f"got [{self.w_min}, {self.w_max}]"
             )
-        if not math.isfinite(self.beta * self.init_loss):
-            raise ValueError(f"beta * init_loss must be finite, got {self.beta} * {self.init_loss}")
+        if not math.isfinite(self.beta * (abs(self.init_loss) + MAX_LOSS)):
+            raise ValueError(
+                f"beta * (|init_loss| + MAX_LOSS) must be finite, got {self.beta} and {self.init_loss}"
+            )
 
 
 def _block_size(n: int) -> int:
@@ -110,121 +115,116 @@ class HardnessWeightedSampler:
     therefore reproduce identical draw sequences.
 
     :meth:`stacked` builds M trees, one per (size, seed) pair, with one RNG
-    stream per tree, held along a leading axis.  The trees of a stack share
-    their :func:`tree_shape`, so their sizes may differ by less than a
-    block, and a shorter tree ends in padding leaves exactly as it would
-    alone.  ``update_losses`` then takes ``(M, B)`` arrays and runs the block
-    and block-mass work once for the whole stack; :meth:`unstack` splits a
-    stack into one sampler per tree, viewing its arrays, and each tree draws
-    through its own sampler.  A sampler is the stack of one tree, so each
-    tree of a stack draws exactly as a sampler built alone from its size and
-    seed and fed the same updates.  ``n`` counts every (tree, case) pair;
-    ``stale_losses``, ``draw_counts`` and ``distribution()`` of a stack have
-    one row per tree, and a shorter tree's row ends in padding: stale loss
-    -inf, count 0, probability 0.
+    stream per tree, held along a leading axis: leaves and CDFs as ``(tree,
+    block, leaf)`` arrays, draw counts as ``(tree, leaf)``.  The trees of a
+    stack share their :func:`tree_shape`, so their sizes may differ by less
+    than a block, and a shorter tree ends in padding leaves exactly as it
+    would alone.  ``update_losses`` then takes ``(M, B)`` arrays and runs the
+    block and block-mass work once for the whole stack; :meth:`unstack`
+    slices a stack into one sampler per tree, viewing its arrays, and each
+    tree draws through its own sampler.  A sampler is the stack of one tree
+    (``stacked([n], config, [seed])`` behaves as ``HardnessWeightedSampler(n,
+    config, seed)``), so each tree of a stack draws exactly as a sampler
+    built alone from its size and seed and fed the same updates.  ``n``
+    counts every (tree, case) pair; ``stale_losses``, ``draw_counts`` and
+    ``distribution()`` of a stack of several trees have one row per tree,
+    and a shorter tree's row ends in padding: stale loss -inf, count 0,
+    probability 0.
     """
 
+    # Every attribute with one entry per tree along its first axis.
+    _PER_TREE = "_rngs _sizes _stale _counts _cdf _block_max _block_sum _cum_mass _top".split()
+
     def __init__(self, n: int, config: SamplerConfig | None = None, seed: int = 0):
-        self._setup([n], config, [seed], single=True)
+        self._setup([n], config, [seed])
 
     @classmethod
     def stacked(cls, sizes, config: SamplerConfig | None, seeds) -> "HardnessWeightedSampler":
         """One tree per seed, of ``sizes[k]`` leaves for seed k, updated together."""
         sampler = cls.__new__(cls)
-        sampler._setup(list(sizes), config, list(seeds), single=False)
+        sampler._setup(list(sizes), config, list(seeds))
         return sampler
 
-    def _setup(self, sizes: list, config: SamplerConfig | None, seeds: list, single: bool) -> None:
+    def _setup(self, sizes: list, config: SamplerConfig | None, seeds: list) -> None:
         if not seeds:
             raise ValueError("a sampler stack needs at least one seed")
         if len(sizes) != len(seeds):
             raise ValueError(f"a sampler stack needs one size per seed, got {len(sizes)} for {len(seeds)}")
-        sizes = tuple(int(n) for n in sizes)
+        sizes = [int(n) for n in sizes]
         if min(sizes) < 1:
             raise ValueError(f"dataset size must be >= 1, got {min(sizes)}")
         shapes = {tree_shape(n) for n in sizes}
         if len(shapes) > 1:
             raise ValueError(f"the trees of a stack must share one shape, got {sorted(shapes)}")
         self.config = config if config is not None else SamplerConfig()
-        self._single = single
         self._rngs = [np.random.default_rng(seed) for seed in seeds]
         self._block, n_blocks = shapes.pop()
         m = len(seeds)
+        self._sizes = np.array(sizes)[:, None]  # the first index past each tree
         # Padding leaves past a tree's n hold -inf.  They follow their block's
         # maximum, so the running sums they join are at least 1 and their
         # floored mass of e**-700 rounds away: they add nothing to any sum.
-        self._stale = np.full((m, n_blocks * self._block), -np.inf)
+        self._stale = np.full((m, n_blocks, self._block), -np.inf)
         for k, n in enumerate(sizes):
-            self._stale[k, :n] = float(self.config.init_loss)
-        self._counts = np.zeros((m, max(sizes)), dtype=np.int64)
-        self._sizes = sizes
+            self._stale.reshape(m, -1)[k, :n] = float(self.config.init_loss)
+        self._counts = np.zeros((m, n_blocks * self._block), dtype=np.int64)
         self._cdf = np.empty_like(self._stale)  # block k's leaf CDF, plus k
         self._block_max = np.empty((m, n_blocks))
         self._block_sum = np.empty((m, n_blocks))  # sum of exp(leaf - block max)
         self._cum_mass = np.empty((m, n_blocks))  # relative to the tree's global max
         self._top = np.empty(m)  # each tree's global max leaf
-        self._views()
         self._refresh_all()
-
-    def _views(self) -> None:
-        """Flat views with one row per (tree, block), and each tree's number, first row and end."""
-        m, n_blocks = self._block_max.shape
-        self._stale_rows = self._stale.reshape(m * n_blocks, self._block)
-        self._cdf_rows = self._cdf.reshape(m * n_blocks, self._block)
-        self._block_max_flat = self._block_max.reshape(-1)
-        self._block_sum_flat = self._block_sum.reshape(-1)
-        self._tree = np.arange(m)[:, None]
-        self._first_row = self._tree * n_blocks
-        self._ends = np.array(self._sizes)[:, None]  # the first index past each tree
 
     def unstack(self) -> list:
         """One sampler per tree, each viewing (not copying) this stack's arrays."""
         out = []
-        for k, (rng, n) in enumerate(zip(self._rngs, self._sizes)):
+        for k in range(len(self._rngs)):
             sampler = copy.copy(self)
-            sampler._single, sampler._rngs, sampler._sizes = True, [rng], (n,)
-            for name in ("_stale", "_cdf", "_block_max", "_block_sum", "_cum_mass", "_top"):
+            for name in self._PER_TREE:
                 setattr(sampler, name, getattr(self, name)[k : k + 1])
-            sampler._counts = self._counts[k : k + 1, :n]
-            sampler._views()
             out.append(sampler)
         return out
 
-    def _squeeze(self, a: np.ndarray) -> np.ndarray:
-        """``a`` without its tree axis for a single sampler."""
+    @property
+    def _single(self) -> bool:
+        return len(self._rngs) == 1
+
+    def _leaves(self, a: np.ndarray) -> np.ndarray:
+        """A copy of ``a``'s per-tree leaves up to the longest tree, without
+        the tree axis for a single tree."""
+        a = a.reshape(len(a), -1)[:, : self._sizes.max()].copy()
         return a[0] if self._single else a
 
     @property
     def n(self) -> int:
         """Cases, summed over the trees of a stack."""
-        return sum(self._sizes)
+        return int(self._sizes.sum())
 
     @property
     def stale_losses(self) -> np.ndarray:
-        return self._squeeze(self._stale[:, : self._counts.shape[1]].copy())
+        return self._leaves(self._stale)
 
     @property
     def draw_counts(self) -> np.ndarray:
-        return self._squeeze(self._counts.copy())
+        return self._leaves(self._counts)
 
     def _refresh_all(self) -> None:
-        n_blocks = self._block_max.shape[1]
-        self._refresh(np.broadcast_to(np.arange(n_blocks), self._block_max.shape))
+        m, n_blocks = self._block_max.shape
+        self._refresh(np.arange(m)[:, None], np.arange(n_blocks))
 
-    def _refresh(self, blocks: np.ndarray) -> None:
-        """Recompute the caches of ``blocks`` (one row per tree) and the block masses."""
-        rows = (blocks + self._first_row).ravel()
-        leaves = self.config.beta * self._stale_rows[rows]
-        top = np.maximum.reduce(leaves, axis=1)
-        cdf = leaves - top[:, None]
+    def _refresh(self, tree: np.ndarray, blocks: np.ndarray) -> None:
+        """Recompute the caches of the blocks ``[tree, blocks]`` and the block masses."""
+        leaves = self.config.beta * self._stale[tree, blocks]
+        top = np.maximum.reduce(leaves, axis=-1)
+        cdf = leaves - top[..., None]
         _floored_exp(cdf)
-        np.add.accumulate(cdf, axis=1, out=cdf)
-        total = cdf[:, -1].copy()
-        cdf /= total[:, None]
-        cdf += blocks.reshape(-1, 1)
-        self._cdf_rows[rows] = cdf
-        self._block_max_flat[rows] = top
-        self._block_sum_flat[rows] = total
+        np.add.accumulate(cdf, axis=-1, out=cdf)
+        total = cdf[..., -1].copy()
+        cdf /= total[..., None]
+        cdf += blocks[..., None]
+        self._cdf[tree, blocks] = cdf
+        self._block_max[tree, blocks] = top
+        self._block_sum[tree, blocks] = total
         np.maximum.reduce(self._block_max, axis=1, out=self._top)
         mass = self._block_max - self._top[:, None]
         _floored_exp(mass)
@@ -240,7 +240,8 @@ class HardnessWeightedSampler:
     def update_losses(self, indices, losses) -> None:
         """Vectorized overwrite; duplicate indices keep the last value.
 
-        A stack takes ``(M, B)`` indices and losses, row k for tree k.
+        A stack takes ``(M, B)`` indices and losses, row k for tree k; a
+        single tree also takes them as one flat batch.
         """
         idx = np.asarray(indices)
         vals = np.asarray(losses, dtype=float)
@@ -253,20 +254,21 @@ class HardnessWeightedSampler:
         elif idx.ndim != 2 or idx.shape[0] != len(self._rngs):
             raise ValueError(f"a stack of {len(self._rngs)} trees takes one row of indices per tree")
         idx = idx.astype(np.int64, copy=False)
-        if idx.size and (idx.min() < 0 or (idx >= self._ends).any()):
+        if idx.size and (idx.min() < 0 or (idx >= self._sizes).any()):
             raise ValueError("index out of range")
         if not np.isfinite(vals).all():
             raise ValueError("losses must be finite")
-        self._stale[self._tree, idx] = vals
+        tree = np.arange(len(idx))[:, None]
+        self._stale.reshape(len(idx), -1)[tree, idx] = vals
         # A block touched twice is recomputed twice, to the same values.
-        self._refresh(idx // self._block)
+        self._refresh(tree, idx // self._block)
 
     def distribution(self) -> np.ndarray:
         """Current sampling probabilities: ``softmax(beta * stale_losses)``."""
-        q = np.zeros(self._counts.shape)
-        for k, n in enumerate(self._sizes):
-            q[k, :n] = optimal_weights(self._stale[k, :n], self.config.beta)
-        return self._squeeze(q)
+        q, stale = np.zeros(self._counts.shape), self._stale.reshape(self._counts.shape)
+        for k, n in enumerate(self._sizes[:, 0]):
+            q[k, :n] = optimal_weights(stale[k, :n], self.config.beta)
+        return self._leaves(q)
 
     def draw(self, batch_size: int) -> tuple[np.ndarray, np.ndarray]:
         """Draw ``batch_size`` indices i.i.d. with replacement.
@@ -280,8 +282,8 @@ class HardnessWeightedSampler:
             raise ValueError("a stack draws from each tree: unstack() it into one sampler per tree")
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        stale, cdf, cum_mass, counts = self._stale[0], self._cdf[0], self._cum_mass[0], self._counts[0]
-        n = self._sizes[0]
+        stale, cdf = self._stale.reshape(-1), self._cdf.reshape(-1)
+        cum_mass, counts, n = self._cum_mass[0], self._counts[0], int(self._sizes[0, 0])
         u = self._rngs[0].random(2 * batch_size)
         t, within = u[:batch_size], u[batch_size:]
         total = cum_mass[-1]
@@ -329,8 +331,8 @@ class HardnessWeightedSampler:
         if np.any(counts < 0):
             raise ValueError("draw_counts must be non-negative")
         sampler = cls(stale.size, cfg, seed=0)
-        sampler._stale[0, : stale.size] = stale
-        sampler._counts[0] = counts
+        sampler._stale.reshape(-1)[: stale.size] = stale
+        sampler._counts[0, : counts.size] = counts
         sampler._refresh_all()
         sampler._rngs[0].bit_generator.state = state["rng_state"]
         return sampler

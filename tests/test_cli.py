@@ -1,5 +1,6 @@
 """End-to-end tests for the command line front door, run in-process."""
 
+import hashlib
 import json
 from dataclasses import replace
 
@@ -26,6 +27,18 @@ BASE_CONFIG = {
         "dro": {"epochs": 2, "batch_size": 8, "folds": 3},
     },
     "seeds": [0],
+}
+
+# SHA-256 of report's outputs in TestReport.test_report_bytes_are_pinned.
+PINNED_REPORT_DIGESTS = {
+    "text": "c9f64f034ce595fc1861c5eef4f5411b98c2add72b30793ea72688ab871d7abb",
+    "text --baseline": "5e8e843eeb69ddf94edbbef999b2d941f353728a5a5143a54612d81811137091",
+    "json": "f7c6f2e76d1aeb5cfd37e3c65c0e9bda49da9dd3548d3ebbce9fbd0fa4bceb21",
+    "json --baseline": "b4e30673a39ca8293ee66d04c52e99d12892d5c85bf348174a237868776fa5e8",
+    "comparison.json": "bc69646b3784d0a4ec55bafa83ac669c8a5af3bbebc112a2a265eee0cec06993",
+    "comparison.txt": "e67f10f30556e807dafbf24914351efbb5be3787d4721d8ecf5e8bbc3cfec5d4",
+    "report.json": "f7c6f2e76d1aeb5cfd37e3c65c0e9bda49da9dd3548d3ebbce9fbd0fa4bceb21",
+    "report.txt": "c9f64f034ce595fc1861c5eef4f5411b98c2add72b30793ea72688ab871d7abb",
 }
 
 
@@ -162,6 +175,7 @@ class TestTrain:
             ("generate", {"data": dict(BASE_CONFIG["data"], shift=True)}, "data.shift"),
             ("generate", {"data": dict(BASE_CONFIG["data"], shift=float("inf"))}, "shift"),
             ("generate", {"data": dict(BASE_CONFIG["data"], majority_radius=float("inf"))}, "majority_radius"),
+            ("generate", {"data": dict(BASE_CONFIG["data"], n_samples=10**20)}, "numpy can index"),
             ("generate", {"out": 5}, "'out'"),
             ("train", {"train": {"erm": {"epochs": "8", "batch_size": 8}}}, "train.erm.epochs"),
             ("train", {"train": {"erm": {"epochs": 2, "batch_size": True}}}, "train.erm.batch_size"),
@@ -171,6 +185,7 @@ class TestTrain:
             ("train", {"train": {"erm": {"epochs": 2, "learning_rate": True}}}, "train.erm.learning_rate"),
             ("train", {"train": {"erm": {"epochs": 2, "sampler": {"beta": True}}}}, "train.erm.sampler.beta"),
             ("train", {"train": {"erm": {"epochs": 2, "sampler": {"beta": 1e308, "init_loss": 1e308}}}}, "init_loss"),
+            ("train", {"train": {"erm": {"epochs": 2, "sampler": {"beta": 1e307, "init_loss": 1.0}}}}, "MAX_LOSS"),
             ("train", {"train": {"erm": {"epochs": 2, "momentum": 0.9}}}, "train.erm: unknown fields ['momentum']"),
             (
                 "train",
@@ -192,6 +207,7 @@ class TestTrain:
             "data-shift-bool",
             "data-shift-inf",
             "data-majority_radius-inf",
+            "data-n_samples-unindexable",
             "out-int",
             "epochs-str",
             "batch_size-bool",
@@ -201,6 +217,7 @@ class TestTrain:
             "learning_rate-bool",
             "sampler-beta-bool",
             "sampler-beta-init_loss-overflow",
+            "sampler-beta-loss-ceiling-overflow",
             "train-unknown-key",
             "sampler-unknown-key",
             "sampler-not-object",
@@ -451,6 +468,37 @@ class TestReport:
         monkeypatch.setattr(cli, "render_json", lambda report: "{" * 100_000 + "\udc80")
         assert main(["report", str(path), "--baseline", str(path), "--out", str(report_dir)]) == 1
         assert {p.name: p.read_bytes() for p in report_dir.iterdir()} == before
+
+    def test_report_bytes_are_pinned(self, tmp_path, capsys):
+        """Every stdout form and every --out file of a fixed score pair keeps
+        the SHA-256 it had before the renderers shared one JSON builder."""
+        dro, erm = tmp_path / "dro.csv", tmp_path / "erm.csv"
+        for path, shift in ((dro, 0.0), (erm, 0.0125)):
+            rows = ["case_id,group,region,score"]
+            for i in range(90):
+                group = ("majority", "minority", "rare")[i % 3 if i < 84 else 2]
+                score = (37 * i % 101) / 100 if group != "majority" else 0.5 + (i % 7) * 0.0625
+                for region, bump in (("overall", shift), ("edge", -shift if i % 2 else 0.0004)):
+                    rows.append(f"c{i:03d},{group},{region},{min(max(score + bump, 0.0), 1.0)!r}")
+            path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        forms = {
+            "text": [],
+            "text --baseline": ["--baseline", str(erm)],
+            "json": ["--format", "json"],
+            "json --baseline": ["--baseline", str(erm), "--format", "json"],
+        }
+        digests = {}
+        for form, flags in forms.items():
+            assert main(["report", str(dro), *flags]) == 0
+            digests[form] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        report_dir = tmp_path / "report"
+        assert main(["report", str(dro), "--baseline", str(erm), "--out", str(report_dir)]) == 0
+        assert capsys.readouterr().out.encode() == (report_dir / "report.txt").read_bytes() + (
+            b"\ndeltas vs baseline (percent points)\n" + (report_dir / "comparison.txt").read_bytes()
+        )
+        for path in sorted(report_dir.iterdir()):
+            digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digests == PINNED_REPORT_DIGESTS
 
     def test_malformed_scores_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

@@ -39,7 +39,9 @@ class TestConfigValidation:
             with pytest.raises(ValueError):
                 SamplerConfig(w_max=w_max)
 
-    @pytest.mark.parametrize("beta, init_loss", [(1.0, math.inf), (1.0, math.nan), (1e308, 1e308), (1e200, -1e200)])
+    @pytest.mark.parametrize(
+        "beta, init_loss", [(1.0, math.inf), (1.0, math.nan), (1e308, 1e308), (1e200, -1e200), (1e307, 1.0)]
+    )
     def test_leaf_scale_must_be_finite(self, beta, init_loss):
         """The tree's leaves are beta times the stale losses, so their
         product must be finite even when each factor is."""
@@ -473,6 +475,30 @@ class TestStackedSampler:
             stack.update_losses([[47], [0]], [[0.1], [0.2]])
         with pytest.raises(ValueError, match="out of range"):
             stack.unstack()[0].update_loss(47, 0.1)
+
+    @pytest.mark.parametrize("n", [1, 40, 1000])
+    def test_one_tree_stack_is_a_sampler(self, n):
+        """A stack of one tree draws, updates, counts and saves bit for bit
+        as the sampler built alone from the same size, config and seed."""
+        config = SamplerConfig(beta=50.0, w_min=0.05, w_max=20.0, init_loss=2.0)
+        stack = HardnessWeightedSampler.stacked([n], config, [6])
+        alone = HardnessWeightedSampler(n, config, seed=6)
+        rng = np.random.default_rng([23, n])
+        for step in range(30):
+            (i_stack, w_stack), (i_alone, w_alone) = stack.draw(8), alone.draw(8)
+            np.testing.assert_array_equal(i_stack, i_alone)
+            np.testing.assert_array_equal(w_stack, w_alone)
+            losses = rng.uniform(0.0, 2.0, size=8)
+            # A one-tree stack takes its indices as a flat batch or as one row.
+            stack.update_losses(i_stack if step % 2 else i_stack[None], losses if step % 2 else losses[None])
+            alone.update_losses(i_alone, losses)
+            np.testing.assert_array_equal(stack.stale_losses, alone.stale_losses)
+            np.testing.assert_array_equal(stack.draw_counts, alone.draw_counts)
+        stack.update_loss(n - 1, 0.5)
+        alone.update_loss(n - 1, 0.5)
+        np.testing.assert_array_equal(stack.distribution(), alone.distribution())
+        assert stack.n == alone.n == n
+        assert stack.state_dict() == alone.state_dict()
 
     def test_stack_needs_one_tree_shape_and_one_size_per_seed(self):
         with pytest.raises(ValueError, match="shape"):
