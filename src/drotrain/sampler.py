@@ -150,7 +150,7 @@ class HardnessWeightedSampler:
             raise ValueError("a sampler stack needs at least one seed")
         if len(sizes) != len(seeds):
             raise ValueError(f"a sampler stack needs one size per seed, got {len(sizes)} for {len(seeds)}")
-        sizes = [int(n) for n in sizes]
+        sizes = tuple(int(n) for n in sizes)
         if min(sizes) < 1:
             raise ValueError(f"dataset size must be >= 1, got {min(sizes)}")
         shapes = {tree_shape(n) for n in sizes}
