@@ -199,7 +199,7 @@ def cmd_train(args) -> int:
         raise UsageError(str(exc)) from exc
     for config in configs:
         try:
-            training.plan_folds(dataset, hidden, config)
+            dims, _ = training.plan_folds(dataset, hidden, config)
         except ValueError as exc:
             raise UsageError(f"train.{args.arm}: {exc}") from exc
 
@@ -207,12 +207,9 @@ def cmd_train(args) -> int:
     if "test_dataset" in doc:
         try:
             test_dataset = datasets.read_csv(doc["test_dataset"])
+            training.check_dims(test_dataset, dims)
         except (OSError, ValueError) as exc:
             raise UsageError(f"test_dataset: {exc}") from exc
-        found = (test_dataset.features.shape[1], test_dataset.n_classes)
-        model = (dataset.features.shape[1], dataset.n_classes)
-        if found[0] != model[0] or found[1] > model[1]:
-            raise UsageError(f"test_dataset has (features, classes) {found}, the model {model}")
 
     for config in configs:
         result = cross_validate(dataset, hidden, config)

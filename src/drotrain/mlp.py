@@ -15,6 +15,7 @@ alone.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -68,45 +69,52 @@ class MLPParams:
         lead = weights[0].shape[:-2]
         dims = (weights[0].shape[-1],) + tuple(w.shape[-2] for w in weights)
         parts = [a for pair in zip(weights, biases) for a in pair]
-        self._bind(np.concatenate([np.reshape(a, lead + (-1,)) for a in parts], axis=-1, dtype=float), dims)
+        self._view(np.concatenate([np.reshape(a, lead + (-1,)) for a in parts], axis=-1, dtype=float), dims)
 
     @classmethod
     def from_theta(cls, theta: np.ndarray, dims) -> "MLPParams":
-        """Params of layer sizes ``dims`` viewing (not copying) ``theta``."""
+        """Params of layer sizes ``dims`` viewing (not copying) ``theta``;
+        ``ValueError`` if the last axis of ``theta`` does not hold them."""
         params = cls.__new__(cls)
-        params._bind(theta, dims)
+        params._view(theta, dims)
         return params
 
-    def _bind(self, theta: np.ndarray, dims) -> None:
-        self.dims = tuple(int(d) for d in dims)
-        # Where each layer's arrays sit on theta's last axis: (slice, shape) of
-        # each weight matrix and the slice of each bias vector.
-        self._weight_parts, self._bias_parts, end = [], [], 0
-        for fan_in, fan_out in zip(self.dims[:-1], self.dims[1:]):
-            self._weight_parts.append((slice(end, end + fan_out * fan_in), (fan_out, fan_in)))
-            end += fan_out * fan_in
-            self._bias_parts.append(slice(end, end + fan_out))
-            end += fan_out
-        if end != theta.shape[-1]:
-            raise ValueError(f"{theta.shape[-1]} parameters do not fit layer sizes {self.dims}")
-        self._view(theta)
-
-    def _view(self, theta: np.ndarray) -> None:
-        lead = theta.shape[:-1]
+    def _view(self, theta: np.ndarray, dims) -> None:
+        self.dims, weights, biases = _views(tuple(dims), theta.shape)
         self.theta = theta
-        self.weights = [theta[..., part].reshape(lead + shape) for part, shape in self._weight_parts]
-        self.biases = [theta[..., part] for part in self._bias_parts]
-
-    def _like(self, theta: np.ndarray) -> "MLPParams":
-        """Params of this layout viewing ``theta``, which has ``self.theta``'s shape."""
-        params = MLPParams.__new__(MLPParams)
-        params.dims = self.dims
-        params._weight_parts, params._bias_parts = self._weight_parts, self._bias_parts
-        params._view(theta)
-        return params
+        self.weights = [theta[at].reshape(shape) for at, shape in weights]
+        self.biases = [theta[at] for at in biases]
 
     def copy(self) -> "MLPParams":
-        return self._like(self.theta.copy())
+        return MLPParams.from_theta(self.theta.copy(), self.dims)
+
+
+@functools.cache
+def _layout(dims: tuple) -> tuple:
+    """``(dims, weights, biases, size)`` of layer sizes ``dims``: the sizes
+    as ints, where each layer's arrays sit on theta's last axis (the
+    ``(slice, shape)`` of each weight matrix and the slice of each bias
+    vector), and the parameter count."""
+    dims, weights, biases, end = tuple(map(int, dims)), [], [], 0
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        weights.append((slice(end, end + fan_out * fan_in), (fan_out, fan_in)))
+        end += fan_out * fan_in
+        biases.append(slice(end, end + fan_out))
+        end += fan_out
+    return dims, weights, biases, end
+
+
+@functools.cache
+def _views(dims: tuple, shape: tuple) -> tuple:
+    """``(dims, weights, biases)`` that view a buffer of ``shape`` as
+    :func:`_layout` places layer sizes ``dims``: each weight matrix's index
+    into the buffer and its shape, with the buffer's leading axes, and each
+    bias vector's index.  Cached, so a step's views cost no layout work."""
+    dims, weights, biases, size = _layout(dims)
+    if shape[-1] != size:
+        raise ValueError(f"{shape[-1]} parameters do not fit layer sizes {dims}")
+    weights = [((..., part), shape[:-1] + part_shape) for part, part_shape in weights]
+    return dims, weights, [(..., part) for part in biases]
 
 
 def init_params(dims, seed: int) -> MLPParams:
@@ -209,7 +217,7 @@ def weighted_loss_gradient(params: MLPParams, X, y, sample_weights) -> tuple:
     delta[raw > MAX_LOSS] = 0.0
     delta *= (w / y.shape[-1])[..., np.newaxis]
 
-    grad = params._like(np.empty_like(params.theta))
+    grad = MLPParams.from_theta(np.empty_like(params.theta), params.dims)
     for i in range(len(params.weights) - 1, -1, -1):
         np.matmul(np.swapaxes(delta, -1, -2), acts[i], out=grad.weights[i])
         np.add.reduce(delta, axis=-2, out=grad.biases[i])
@@ -224,4 +232,4 @@ def sgd_step(params: MLPParams, gradient: MLPParams, learning_rate: float) -> ML
         raise ValueError(f"learning_rate must be > 0, got {learning_rate}")
     if params.dims != gradient.dims or params.theta.shape != gradient.theta.shape:
         raise ValueError("gradient structure does not match params")
-    return params._like(params.theta - learning_rate * gradient.theta)
+    return MLPParams.from_theta(params.theta - learning_rate * gradient.theta, params.dims)

@@ -4,15 +4,16 @@ hardness-weighted sampling, fold ensembling, and checkpoints.
 Every regime trains through one loop, :func:`run_epochs`.  Each step draws
 a batch of case positions with importance weights, gathers their rows,
 takes one SGD step on the weighted-mean gradient, and feeds the raw losses
-back to the sampler that drew the batch.  The state picks the regime.  A
-state that holds generators trains on mean loss: each epoch shuffles the
-training set and walks it in mini-batches without replacement, with unit
-weights and no feedback.  A state that holds a
-:class:`HardnessWeightedSampler` draws each batch with replacement from it.
-In the robust regime (mode ``"dro"``) the sampler is fed the losses, so its
-draws follow the softmax of the stale losses with clipped importance
-weights; in mode ``"erm"`` it is never fed, so it draws uniformly with unit
-weights: mean-loss training with replacement.  Everything is deterministic
+back to the sampler that drew the batch.  The config alone decides what a
+run does, and the state records only where it is.  A state that holds
+generators trains on mean loss: each epoch shuffles the training set and
+walks it in mini-batches without replacement, with unit weights and no
+feedback.  A state that holds a :class:`HardnessWeightedSampler` draws each
+batch with replacement from it.  In the robust regime (config mode
+``"dro"``) the sampler is fed the losses, so its draws follow the softmax
+of the stale losses with clipped importance weights; in mode ``"erm"`` it
+is never fed, so it draws uniformly with unit weights: mean-loss training
+with replacement.  Everything is deterministic
 given the config seed, and a checkpoint restores mid-run state exactly:
 running a+b epochs equals running a, saving, loading, and running b.
 
@@ -58,6 +59,7 @@ __all__ = [
     "TrainConfig",
     "TrainState",
     "CrossValResult",
+    "check_dims",
     "init_state",
     "init_stack",
     "run_epochs",
@@ -84,7 +86,7 @@ MODES = ("erm", "dro")
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Shared knobs for both regimes; ``sampler`` only matters in dro mode.
+    """Shared knobs for both regimes; only mode dro takes a ``sampler``.
 
     When mode is dro and ``sampler`` is omitted, stale losses start at the
     loss ceiling so every sample stays competitive until first visited.
@@ -109,6 +111,8 @@ class TrainConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.folds < 1:
             raise ValueError(f"folds must be >= 1, got {self.folds}")
+        if self.sampler is not None and self.mode != "dro":
+            raise ValueError(f"only mode 'dro' takes a sampler, got mode {self.mode!r}")
         if self.sampler is None and self.mode == "dro":
             object.__setattr__(self, "sampler", SamplerConfig(init_loss=MAX_LOSS))
 
@@ -122,12 +126,11 @@ class TrainState:
 
     The state of a stack of M models (see :func:`init_stack`) holds stacked
     parameters and either a list of M generators or a stacked sampler.  A
-    sampler learns from the losses only when ``mode`` is ``"dro"``.
+    sampler learns from the losses only when the config's mode is ``"dro"``.
     """
 
     params: MLPParams
     epoch: int
-    mode: str
     rng: np.random.Generator = None
     sampler: HardnessWeightedSampler = None
 
@@ -137,12 +140,14 @@ class TrainState:
         rngs = self.rng if self.rng is not None else [None] * len(theta)
         samplers = self.sampler.unstack() if self.sampler is not None else [None] * len(theta)
         return [
-            TrainState(MLPParams.from_theta(theta[k], dims), self.epoch, self.mode, rngs[k], samplers[k])
+            TrainState(MLPParams.from_theta(theta[k], dims), self.epoch, rngs[k], samplers[k])
             for k in range(len(theta))
         ]
 
 
-def _check_dims(dataset: Dataset, dims) -> tuple:
+def check_dims(dataset: Dataset, dims) -> tuple:
+    """``dims`` as ints, once a model of those layer sizes fits ``dataset``:
+    its input takes the features and its outputs cover the labels."""
     dims = tuple(int(v) for v in dims)
     if dims[0] != dataset.features.shape[1]:
         raise ValueError(f"model input size {dims[0]} != feature dimension {dataset.features.shape[1]}")
@@ -163,8 +168,8 @@ def init_stack(sizes, dims, config: TrainConfig, seeds) -> TrainState:
     params = MLPParams.from_theta(theta, dims)
     loops = [loop_ss for _, loop_ss in streams]
     if config.mode == "dro":
-        return TrainState(params, 0, "dro", sampler=HardnessWeightedSampler.stacked(sizes, config.sampler, loops))
-    return TrainState(params, 0, "erm", rng=[np.random.default_rng(ss) for ss in loops])
+        return TrainState(params, 0, sampler=HardnessWeightedSampler.stacked(sizes, config.sampler, loops))
+    return TrainState(params, 0, rng=[np.random.default_rng(ss) for ss in loops])
 
 
 def init_state(n: int, dims, config: TrainConfig) -> TrainState:
@@ -180,7 +185,7 @@ def run_epochs(
     An epoch is floor(n / batch_size) SGD steps in every regime, so all see
     the same number of updates per epoch.  A state without a sampler
     shuffles with its generators; a state with one draws from it, and feeds
-    it the raw losses in mode ``"dro"`` only.  A stack of M models (see
+    it the raw losses when the config's mode is ``"dro"``.  A stack of M models (see
     :func:`init_stack`) takes ``rows``, M arrays of dataset rows whose
     lengths give one step count: model k trains on the dataset's rows
     ``rows[k]``, bit for bit as on a dataset of just those rows, without
@@ -234,7 +239,7 @@ def run_epochs(
         for at, idx, w in batches():
             losses, grad = weighted_loss_gradient(state.params, X[at], y[at], w)
             state.params = sgd_step(state.params, grad, config.learning_rate)
-            if state.mode == "dro":
+            if config.mode == "dro":
                 # Sampler sees raw losses: it models the loss landscape, not
                 # the reweighted estimator.
                 state.sampler.update_losses(idx, losses)
@@ -242,10 +247,12 @@ def run_epochs(
     return state
 
 
-def _train(dataset: Dataset, dims, config: TrainConfig, mode: str) -> MLPParams:
+def _train(dataset: Dataset, dims, config: TrainConfig, mode: str, replacement: bool = False) -> MLPParams:
     if config.mode != mode:
-        raise ValueError(f"train_{mode} requires mode {mode!r}, got {config.mode!r}")
-    state = init_state(len(dataset), _check_dims(dataset, dims), config)
+        raise ValueError(f"{mode} training requires mode {mode!r}, got {config.mode!r}")
+    state = init_state(len(dataset), check_dims(dataset, dims), config)
+    if replacement:  # draw with replacement from the loop generator
+        state.rng, state.sampler = None, HardnessWeightedSampler(len(dataset), seed=state.rng)
     return run_epochs(state, dataset, config, config.epochs).params
 
 
@@ -266,10 +273,7 @@ def train_replacement_erm(dataset: Dataset, dims, config: TrainConfig) -> MLPPar
     sampling is necessarily with-replacement: the same sampler, never fed a
     loss in mode ``"erm"``, draws uniformly with unit weights.
     """
-    init_ss, loop_ss = np.random.SeedSequence(config.seed).spawn(2)
-    params = init_params(_check_dims(dataset, dims), init_ss)
-    state = TrainState(params, 0, "erm", sampler=HardnessWeightedSampler(len(dataset), seed=loop_ss))
-    return run_epochs(state, dataset, config, config.epochs).params
+    return _train(dataset, dims, config, "erm", replacement=True)
 
 
 @dataclass
@@ -383,7 +387,7 @@ def save_checkpoint(path, state: TrainState, config: TrainConfig) -> None:
     meta = {
         "dims": list(dims),
         "epoch": state.epoch,
-        "mode": state.mode,
+        "mode": config.mode,
         "rng_state": state.rng.bit_generator.state if state.rng is not None else None,
         "sampler": state.sampler.state_dict() if state.sampler is not None else None,
     }
@@ -413,11 +417,11 @@ def load_checkpoint(path, config: TrainConfig) -> TrainState:
     blob = raw[48 + meta_len :]
     if raw[8:40] != config_digest(config, dims):
         raise ValueError(f"{path}: checkpoint was written under a different configuration")
-    size = 8 * sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
-    if len(blob) != size:
-        raise ValueError(f"{path}: checkpoint parameter blob has {len(blob)} bytes, expected {size}")
-    params = MLPParams.from_theta(np.frombuffer(blob, dtype="<f8").astype(float), dims)
-    state = TrainState(params, int(meta["epoch"]), meta["mode"])
+    try:
+        params = MLPParams.from_theta(np.frombuffer(blob, dtype="<f8").astype(float), dims)
+    except ValueError as exc:
+        raise ValueError(f"{path}: checkpoint parameter blob of {len(blob)} bytes: {exc}") from None
+    state = TrainState(params, int(meta["epoch"]))
     if meta["rng_state"] is not None:
         state.rng = np.random.default_rng()
         state.rng.bit_generator.state = meta["rng_state"]

@@ -193,6 +193,7 @@ class TestTrain:
                 "train.erm.sampler: unknown fields ['tau']",
             ),
             ("train", {"train": {"erm": {"epochs": 2, "sampler": [1, 2, 3]}}}, "train.erm.sampler must be an object"),
+            ("train", {"train": {"erm": {"epochs": 2, "sampler": {"beta": 2.0}}}}, "train.erm: only mode 'dro'"),
             ("train", {"test_dataset": 7}, "test_dataset"),
             ("train", {"test_dataset": True}, "test_dataset"),
             ("train", {"test_dataset": 0}, "test_dataset"),
@@ -221,6 +222,7 @@ class TestTrain:
             "train-unknown-key",
             "sampler-unknown-key",
             "sampler-not-object",
+            "erm-sampler",
             "test_dataset-int",
             "test_dataset-bool",
             "test_dataset-zero",

@@ -69,6 +69,10 @@ class TestTrainConfig:
         sampler = SamplerConfig(beta=5.0, init_loss=2.0)
         assert TrainConfig(mode="dro", sampler=sampler).sampler == sampler
 
+    def test_erm_takes_no_sampler(self):
+        with pytest.raises(ValueError, match="only mode 'dro' takes a sampler"):
+            TrainConfig(sampler=SamplerConfig())
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -114,6 +118,8 @@ class TestTrainingLoops:
             train_erm(dataset, (2, 4, 2), TrainConfig(mode="dro"))
         with pytest.raises(ValueError):
             train_dro(dataset, (2, 4, 2), TrainConfig(mode="erm"))
+        with pytest.raises(ValueError):
+            train_replacement_erm(dataset, (2, 4, 2), TrainConfig(mode="dro"))
 
     def test_batch_larger_than_dataset_rejected(self):
         dataset = _blob_dataset(10)
@@ -356,7 +362,6 @@ class TestCheckpoint:
         save_checkpoint(path, state, config)
         loaded = load_checkpoint(path, config)
         assert loaded.epoch == 2
-        assert loaded.mode == "dro"
         assert _params_equal(loaded.params, state.params)
 
     @pytest.mark.parametrize("mode", ["erm", "dro"])
