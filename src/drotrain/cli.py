@@ -137,7 +137,11 @@ def _seeds(doc: dict) -> list:
     raw = doc.get("seeds")
     if not isinstance(raw, list) or not raw:
         raise UsageError("config needs a non-empty 'seeds' list")
-    return [_seed(s, "seeds") for s in raw]
+    seeds = [_seed(s, "seeds") for s in raw]
+    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+    if repeated:
+        raise UsageError(f"'seeds' must be distinct, got {repeated} more than once")
+    return seeds
 
 
 def _arm_config(doc: dict, arm: str, seed: int) -> TrainConfig:
@@ -161,13 +165,21 @@ def _hidden_dims(doc: dict) -> tuple:
     return tuple(raw)
 
 
+def _make_dir(path) -> Path:
+    """``path`` as a directory that exists; a usage error if it cannot be one."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot use {path} as the output directory: {exc}") from exc
+    return path
+
+
 def _out_dir(args, doc: dict) -> Path:
     out = args.out or doc.get("out")
     if not out:
         raise UsageError("no output directory: pass --out or set 'out' in the config")
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return _make_dir(out)
 
 
 def cmd_generate(args) -> int:
@@ -199,7 +211,7 @@ def cmd_train(args) -> int:
         raise UsageError(str(exc)) from exc
     for config in configs:
         try:
-            dims, _ = training.plan_folds(dataset, hidden, config)
+            dims = training.plan_folds(dataset, hidden, config)[0]  # keeps no splits alive
         except ValueError as exc:
             raise UsageError(f"train.{args.arm}: {exc}") from exc
 
@@ -212,7 +224,14 @@ def cmd_train(args) -> int:
             raise UsageError(f"test_dataset: {exc}") from exc
 
     for config in configs:
-        result = cross_validate(dataset, hidden, config)
+        try:
+            result = cross_validate(dataset, hidden, config)
+        except training.TrainingDiverged as exc:
+            folds = ("fold " if len(exc.models) == 1 else "folds ") + ", ".join(map(str, exc.models))
+            raise UsageError(
+                f"train.{args.arm}: seed {config.seed}, {folds}, epoch {exc.epoch}: training diverged "
+                f"({exc.reason}); lower learning_rate"
+            ) from exc
         run_dir = out / args.arm / f"seed_{config.seed}"
         run_dir.mkdir(parents=True, exist_ok=True)
         for f, state in enumerate(result.states):
@@ -241,8 +260,7 @@ def cmd_report(args) -> int:
         files["comparison.txt"] = render_comparison_text(comparison)
         files["comparison.json"] = render_comparison_json(comparison)
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        out = _make_dir(args.out)
         for name, content in files.items():
             with atomic_write(out / name, "w", encoding="utf-8") as fh:
                 fh.write(content)

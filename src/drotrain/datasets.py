@@ -14,7 +14,7 @@ import csv
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from operator import itemgetter
 
 import numpy as np
@@ -194,9 +194,28 @@ def _first_fault(path, first: int, block, width: int) -> str:
     raise AssertionError("a block that failed to parse has a faulty row")
 
 
+def _check_ids(path, case_ids: list, groups: list) -> None:
+    """Reject an empty group, an empty case id or a repeated one; the error
+    names the line, and both lines of a repeat.  Repeats are found in a
+    sorted copy of the ids, which costs less memory than a set of them; the
+    lines are looked up only on failure.
+    """
+    if "" in groups:
+        raise ValueError(f"{path}:{groups.index('') + 2}: empty group")
+    ids = sorted(case_ids)
+    if ids[0] == "":
+        raise ValueError(f"{path}:{case_ids.index('') + 2}: empty case_id")
+    repeat = next((a for a, b in zip(ids, islice(ids, 1, None)) if a == b), None)
+    if repeat is not None:
+        first = case_ids.index(repeat)
+        second = case_ids.index(repeat, first + 1)
+        raise ValueError(f"{path}:{second + 2}: case_id {repeat!r} repeats line {first + 2}")
+
+
 def read_csv(path) -> Dataset:
     """Parse a dataset written by :func:`write_csv`, validating the header
-    and rejecting unparseable or non-finite values; errors name the line.
+    and rejecting unparseable or non-finite values, empty groups and empty
+    or repeated case ids; errors name the line.
 
     Rows are parsed a block at a time straight into numpy columns, and each
     distinct group name is kept as one string, so no Python object per
@@ -226,6 +245,7 @@ def read_csv(path) -> Dataset:
             groups.extend(map(names.setdefault, block_groups, block_groups))
     if not case_ids:
         raise ValueError(f"{path}: dataset has no rows")
+    _check_ids(path, case_ids, groups)
     labels = np.concatenate(label_blocks)
     if labels.min() < 0:
         raise ValueError(f"{path}: labels must be non-negative")

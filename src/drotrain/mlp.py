@@ -26,6 +26,7 @@ __all__ = [
     "MAX_LOSS",
     "Sample",
     "MLPParams",
+    "param_count",
     "init_params",
     "forward",
     "forward_batch",
@@ -80,7 +81,7 @@ class MLPParams:
         return params
 
     def _view(self, theta: np.ndarray, dims) -> None:
-        self.dims, weights, biases = _views(tuple(dims), theta.shape)
+        self.dims, weights, biases = _view_keys(tuple(dims), theta.shape)
         self.theta = theta
         self.weights = [theta[at].reshape(shape) for at, shape in weights]
         self.biases = [theta[at] for at in biases]
@@ -101,20 +102,30 @@ def _layout(dims: tuple) -> tuple:
         end += fan_out * fan_in
         biases.append(slice(end, end + fan_out))
         end += fan_out
-    return dims, weights, biases, end
+    return dims, tuple(weights), tuple(biases), end
 
 
 @functools.cache
-def _views(dims: tuple, shape: tuple) -> tuple:
+def _view_keys(dims: tuple, shape: tuple) -> tuple:
     """``(dims, weights, biases)`` that view a buffer of ``shape`` as
     :func:`_layout` places layer sizes ``dims``: each weight matrix's index
     into the buffer and its shape, with the buffer's leading axes, and each
-    bias vector's index.  Cached, so a step's views cost no layout work."""
+    bias vector's index.  Cached, so a step's views cost no layout work; a
+    process sees one entry per model size and stack shape."""
     dims, weights, biases, size = _layout(dims)
     if shape[-1] != size:
         raise ValueError(f"{shape[-1]} parameters do not fit layer sizes {dims}")
-    weights = [((..., part), shape[:-1] + part_shape) for part, part_shape in weights]
-    return dims, weights, [(..., part) for part in biases]
+    weights = tuple(((..., part), shape[:-1] + part_shape) for part, part_shape in weights)
+    return dims, weights, tuple((..., part) for part in biases)
+
+
+def param_count(dims) -> int:
+    """Parameters of a model of layer sizes ``dims``; ``ValueError`` when
+    their f64 values need more bytes than numpy can index."""
+    size = _layout(tuple(dims))[3]
+    if 8 * size > np.iinfo(np.intp).max:
+        raise ValueError(f"{size} f64 parameters need more bytes than numpy can index")
+    return size
 
 
 def init_params(dims, seed: int) -> MLPParams:

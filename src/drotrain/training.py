@@ -46,6 +46,7 @@ from .mlp import (
     MAX_LOSS,
     MLPParams,
     init_params,
+    param_count,
     sgd_step,
     true_class_prob,
     weighted_loss_gradient,
@@ -58,6 +59,7 @@ __all__ = [
     "CHECKPOINT_MAGIC",
     "TrainConfig",
     "TrainState",
+    "TrainingDiverged",
     "CrossValResult",
     "check_dims",
     "init_state",
@@ -145,6 +147,20 @@ class TrainState:
         ]
 
 
+class TrainingDiverged(ArithmeticError):
+    """A run's arithmetic left the finite numbers: its step size is too large.
+
+    ``models`` are the positions in the stack (fold numbers, once
+    :func:`cross_validate` re-raises it) that may have caused it: those whose
+    parameters are not finite at the end of ``epoch``, or every model of
+    the stack when a step's arithmetic overflowed.  Epochs count from 1.
+    """
+
+    def __init__(self, epoch: int, models, reason: str):
+        self.epoch, self.models, self.reason = epoch, list(models), reason
+        super().__init__(f"epoch {epoch}, models {self.models}: {reason}")
+
+
 def check_dims(dataset: Dataset, dims) -> tuple:
     """``dims`` as ints, once a model of those layer sizes fits ``dataset``:
     its input takes the features and its outputs cover the labels."""
@@ -185,7 +201,9 @@ def run_epochs(
     An epoch is floor(n / batch_size) SGD steps in every regime, so all see
     the same number of updates per epoch.  A state without a sampler
     shuffles with its generators; a state with one draws from it, and feeds
-    it the raw losses when the config's mode is ``"dro"``.  A stack of M models (see
+    it the raw losses when the config's mode is ``"dro"``.  A step whose
+    arithmetic overflows, or an epoch that leaves a model's parameters not
+    finite, raises :class:`TrainingDiverged`.  A stack of M models (see
     :func:`init_stack`) takes ``rows``, M arrays of dataset rows whose
     lengths give one step count: model k trains on the dataset's rows
     ``rows[k]``, bit for bit as on a dataset of just those rows, without
@@ -236,14 +254,21 @@ def run_epochs(
                 yield table[lead + (idx,)], idx, w
 
     for _ in range(n_epochs):
-        for at, idx, w in batches():
-            losses, grad = weighted_loss_gradient(state.params, X[at], y[at], w)
-            state.params = sgd_step(state.params, grad, config.learning_rate)
-            if config.mode == "dro":
-                # Sampler sees raw losses: it models the loss landscape, not
-                # the reweighted estimator.
-                state.sampler.update_losses(idx, losses)
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                for at, idx, w in batches():
+                    losses, grad = weighted_loss_gradient(state.params, X[at], y[at], w)
+                    state.params = sgd_step(state.params, grad, config.learning_rate)
+                    if config.mode == "dro":
+                        # Sampler sees raw losses: it models the loss
+                        # landscape, not the reweighted estimator.
+                        state.sampler.update_losses(idx, losses)
+        except FloatingPointError as exc:
+            raise TrainingDiverged(state.epoch + 1, range(len(rows)), str(exc)) from None
         state.epoch += 1
+        finite = np.isfinite(state.params.theta.reshape(len(rows), -1)).all(axis=1)
+        if not finite.all():
+            raise TrainingDiverged(state.epoch, np.flatnonzero(~finite).tolist(), "parameters are not finite")
     return state
 
 
@@ -301,10 +326,12 @@ def _fold_seed(seed: int, fold: int) -> int:
 def plan_folds(dataset: Dataset, hidden_dims, config: TrainConfig) -> tuple:
     """``(dims, splits)`` of a cross-validation run, checked before it trains.
 
-    Raises ``ValueError`` when the folds cannot be split or a batch does not
-    fit the smallest fold's training split.
+    Raises ``ValueError`` when the folds cannot be split, a batch does not
+    fit the smallest fold's training split, or numpy cannot index the
+    model's parameters.
     """
     dims = (dataset.features.shape[1],) + tuple(int(h) for h in hidden_dims) + (dataset.n_classes,)
+    param_count(dims)
     splits = kfold_indices(len(dataset), config.folds, config.seed)
     smallest = min(train_idx.size for train_idx, _ in splits)
     if config.batch_size > smallest:
@@ -343,7 +370,8 @@ def cross_validate(dataset: Dataset, hidden_dims, config: TrainConfig) -> CrossV
     case for two or more folds, the held-out fifth for one.  Scores are the
     probability the model assigns to the true class, in [0, 1].  Folds whose
     training sizes share the step count and the sampler tree shape train in
-    lockstep as one stack.
+    lockstep as one stack.  A diverging stack raises
+    :class:`TrainingDiverged` naming its folds.
     """
     dims, splits = plan_folds(dataset, hidden_dims, config)
     fold_configs = [replace(config, seed=_fold_seed(config.seed, f)) for f in range(len(splits))]
@@ -355,7 +383,10 @@ def cross_validate(dataset: Dataset, hidden_dims, config: TrainConfig) -> CrossV
     for folds in stacks.values():
         rows = [splits[f][0] for f in folds]
         state = init_stack([r.size for r in rows], dims, config, [fold_configs[f].seed for f in folds])
-        trained = run_epochs(state, dataset, config, config.epochs, rows=rows)
+        try:
+            trained = run_epochs(state, dataset, config, config.epochs, rows=rows)
+        except TrainingDiverged as exc:
+            raise TrainingDiverged(exc.epoch, [folds[k] for k in exc.models], exc.reason) from None
         for f, fold_state in zip(folds, trained.unstack()):
             states[f] = fold_state
 
@@ -412,19 +443,34 @@ def load_checkpoint(path, config: TrainConfig) -> TrainState:
     meta_len = int.from_bytes(raw[40:48], "little")
     if len(raw) < 48 + meta_len:
         raise ValueError(f"{path}: truncated checkpoint, {len(raw)} bytes of {48 + meta_len} or more")
-    meta = json.loads(raw[48 : 48 + meta_len])
-    dims = tuple(meta["dims"])
-    blob = raw[48 + meta_len :]
-    if raw[8:40] != config_digest(config, dims):
+    try:
+        meta = json.loads(raw[48 : 48 + meta_len])
+        dims = tuple(meta["dims"])
+        digest = config_digest(config, dims)
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:  # JSON and UTF-8 errors are ValueErrors
+        raise ValueError(f"{path}: corrupt checkpoint meta: {exc!r}") from None
+    if raw[8:40] != digest:
         raise ValueError(f"{path}: checkpoint was written under a different configuration")
     try:
-        params = MLPParams.from_theta(np.frombuffer(blob, dtype="<f8").astype(float), dims)
-    except ValueError as exc:
-        raise ValueError(f"{path}: checkpoint parameter blob of {len(blob)} bytes: {exc}") from None
-    state = TrainState(params, int(meta["epoch"]))
-    if meta["rng_state"] is not None:
+        return _restore(meta, raw[48 + meta_len :], dims, config)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: corrupt checkpoint: {exc!r}") from None
+
+
+def _restore(meta: dict, blob: bytes, dims: tuple, config: TrainConfig) -> TrainState:
+    """The state that a checkpoint's meta and parameter blob hold."""
+    if meta["mode"] != config.mode:
+        raise ValueError(f"stored mode {meta['mode']!r} is not the config's mode {config.mode!r}")
+    rng_state, sampler = meta["rng_state"], meta["sampler"]
+    if (rng_state is None) == (sampler is None) or (sampler is None and config.mode == "dro"):
+        raise ValueError("a checkpoint holds one RNG: a generator in mode 'erm', else a sampler")
+    if type(meta["epoch"]) is not int or meta["epoch"] < 0:
+        raise ValueError(f"epoch must be an integer >= 0, got {meta['epoch']!r}")
+    params = MLPParams.from_theta(np.frombuffer(blob, dtype="<f8").astype(float), dims)
+    state = TrainState(params, meta["epoch"])
+    if rng_state is not None:
         state.rng = np.random.default_rng()
-        state.rng.bit_generator.state = meta["rng_state"]
-    if meta["sampler"] is not None:
-        state.sampler = HardnessWeightedSampler.from_state_dict(meta["sampler"])
+        state.rng.bit_generator.state = rng_state
+    else:
+        state.sampler = HardnessWeightedSampler.from_state_dict(sampler)
     return state

@@ -200,6 +200,8 @@ class TestTrain:
             ("train", {"seeds": ["x"]}, "seeds"),
             ("train", {"seeds": [0, True]}, "seeds"),
             ("train", {"hidden": ["a"]}, "hidden"),
+            ("train", {"hidden": [10**19]}, "numpy can index"),
+            ("train", {"seeds": [0, 3, 0]}, "'seeds' must be distinct, got [0] more than once"),
         ],
         ids=[
             "data-seed-str",
@@ -229,6 +231,8 @@ class TestTrain:
             "seeds-str",
             "seeds-bool",
             "hidden-str",
+            "hidden-unindexable",
+            "seeds-repeated",
         ],
     )
     def test_bad_values_rejected_before_work(self, tmp_path, capsys, command, overrides, message):
@@ -283,6 +287,70 @@ class TestTrain:
         assert main(["train", "--config", str(config), "--arm", "erm"]) == 2
         assert f"dataset.csv:5: {message}" in capsys.readouterr().err
         assert not (out / "erm").exists()
+
+    @pytest.mark.parametrize(
+        "line, column, value, message",
+        [
+            (3, 0, "case_0001", "dataset.csv:4: case_id 'case_0001' repeats line 3"),
+            (3, 1, "", "dataset.csv:4: empty group"),
+            (3, 0, "", "dataset.csv:4: empty case_id"),
+        ],
+        ids=["repeated-id", "empty-group", "empty-id"],
+    )
+    def test_bad_case_ids_rejected_before_training(self, tmp_path, capsys, line, column, value, message):
+        """Line 3 holds case_0001; the edit is made on line 4."""
+        out = tmp_path / "o"
+        config = _write_config(tmp_path, out)
+        assert main(["generate", "--config", str(config)]) == 0
+        lines = (out / "dataset.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[2].startswith("case_0001,")
+        cells = lines[line].split(",")
+        cells[column] = value
+        lines[line] = ",".join(cells)
+        (out / "dataset.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["train", "--config", str(config), "--arm", "erm"]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "erm").exists()
+
+    def test_repeated_test_dataset_id_rejected_before_training(self, tmp_path, capsys):
+        held_out = datasets.generate(datasets.SyntheticConfig(n_samples=25, n_features=4, n_classes=3), seed=9)
+        held_out.case_ids[7] = held_out.case_ids[2]
+        held_out_path = tmp_path / "held_out.csv"
+        datasets.write_csv(held_out, held_out_path)
+        out = tmp_path / "run"
+        config = _write_config(tmp_path, out, test_dataset=str(held_out_path))
+        assert main(["generate", "--config", str(config)]) == 0
+        assert main(["train", "--config", str(config), "--arm", "erm"]) == 2
+        assert "test_dataset: " + f"{held_out_path}:9: case_id 'case_0002' repeats line 4" in capsys.readouterr().err
+        assert not (out / "erm").exists()
+
+    @pytest.mark.parametrize("arm", ["erm", "dro"])
+    def test_diverging_run_exits_2_naming_where(self, tmp_path, capsys, arm):
+        """A step size that overflows stops the seed in its first epoch,
+        before its score files are written; the first seed's stay."""
+        train = {a: dict(BASE_CONFIG["train"][a]) for a in ("erm", "dro")}
+        out = tmp_path / "o"
+        config = _write_config(tmp_path, out, train=train, seeds=[0, 1])
+        assert main(["generate", "--config", str(config)]) == 0
+        assert main(["train", "--config", str(config), "--arm", arm]) == 0
+        train[arm]["learning_rate"] = 1e308
+        config = _write_config(tmp_path, out, train=train, seeds=[4, 5])
+        assert main(["train", "--config", str(config), "--arm", arm]) == 2
+        err = capsys.readouterr().err
+        assert f"error: train.{arm}: seed 4, folds 0, 1, 2, epoch 1: training diverged (overflow" in err
+        assert not (out / arm / "seed_4" / "scores.csv").exists()
+        assert not (out / arm / "seed_5").exists()
+        assert (out / arm / "seed_1" / "scores.csv").exists()
+
+    @pytest.mark.parametrize("command", [["generate"], ["train", "--arm", "erm"]], ids=["generate", "train"])
+    def test_out_naming_a_file_rejected_before_work(self, tmp_path, capsys, command):
+        run = _run_pipeline(tmp_path, "run")
+        config = _write_config(tmp_path, run)
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n", encoding="utf-8")
+        assert main([command[0], "--config", str(config), "--out", str(taken)] + command[1:]) == 2
+        assert f"cannot use {taken} as the output directory" in capsys.readouterr().err
+        assert taken.read_text(encoding="utf-8") == "not a directory\n"
 
     @pytest.mark.parametrize("n_features, n_classes", [(5, 3), (4, 4)])
     def test_mismatched_test_dataset_rejected_before_training(self, tmp_path, capsys, n_features, n_classes):
@@ -501,6 +569,14 @@ class TestReport:
         for path in sorted(report_dir.iterdir()):
             digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digests == PINNED_REPORT_DIGESTS
+
+    def test_out_naming_a_file_exit_2(self, tmp_path, capsys):
+        path = self._scores_path(tmp_path)
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n", encoding="utf-8")
+        assert main(["report", str(path), "--out", str(taken)]) == 2
+        assert f"cannot use {taken} as the output directory" in capsys.readouterr().err
+        assert taken.read_text(encoding="utf-8") == "not a directory\n"
 
     def test_malformed_scores_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

@@ -1,6 +1,8 @@
 """Verification tests for the training loops, cross-validation, checkpoints."""
 
+import json
 import re
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +28,8 @@ from drotrain.training import (
     init_state,
     load_checkpoint,
     run_epochs,
+    TrainingDiverged,
+    init_stack,
     save_checkpoint,
     train_dro,
     train_erm,
@@ -47,6 +51,27 @@ def _blob_dataset(n, d=2, n_classes=2, seed=0, spread=2.0):
 def _accuracy(params, dataset):
     preds = predict_proba(params, dataset.features).argmax(axis=1)
     return float((preds == dataset.labels).mean())
+
+
+def _meta_set(**fields):
+    """A checkpoint meta edit that sets top-level fields."""
+    return lambda meta: json.dumps({**json.loads(meta), **fields}).encode()
+
+
+# Edits of a fresh dro checkpoint's JSON meta that leave it unloadable.
+META_CORRUPTIONS = {
+    "epoch-key-renamed": lambda meta: meta.replace(b'"epoch"', b'"epoc"'),
+    "meta-not-json": lambda meta: meta[:-1],
+    "meta-not-utf8": lambda meta: meta.replace(b'"dims"', b'"\xffims"'),
+    "meta-nested-too-deep": lambda meta: b"[" * 100_000 + b"]" * 100_000,
+    "negative-draw-count": lambda meta: meta.replace(b'"draw_counts":[0', b'"draw_counts":[-1'),
+    "negative-epoch": _meta_set(epoch=-1),
+    "epoch-not-int": _meta_set(epoch="2"),
+    "mode-not-config": _meta_set(mode="erm"),
+    "no-rng": _meta_set(sampler=None),
+    "both-rngs": _meta_set(rng_state={"bit_generator": "PCG64"}),
+    "bad-rng-state": _meta_set(rng_state={"bit_generator": "PCG64"}, sampler=None),
+}
 
 
 def _params_equal(a, b):
@@ -180,6 +205,44 @@ class TestTrainingLoops:
         )
         trained = train_replacement_erm(dataset, dims, config)
         assert _params_equal(trained, MLPParams(weights, biases))
+
+    @pytest.mark.parametrize("mode", ["erm", "dro"])
+    def test_overflowing_step_raises_diverged(self, mode):
+        """A step whose arithmetic overflows stops the stack in that epoch,
+        naming every model of it, under any warnings filter."""
+        dataset = _blob_dataset(40)
+        config = TrainConfig(epochs=3, batch_size=8, learning_rate=1e308, mode=mode, seed=0)
+        state = init_stack([30, 30], (2, 4, 2), config, [1, 2])
+        with pytest.raises(TrainingDiverged, match="overflow") as caught:
+            run_epochs(state, dataset, config, 3, rows=[np.arange(30), np.arange(10, 40)])
+        assert (caught.value.epoch, caught.value.models) == (1, [0, 1])
+
+    def test_non_finite_model_named_at_epoch_end(self):
+        """A NaN spreads through its own model without a floating-point
+        error; the end-of-epoch check names that model alone."""
+        dataset = _blob_dataset(40)
+        config = TrainConfig(epochs=3, batch_size=8, seed=0)
+        state = init_stack([30, 30, 30], (2, 4, 2), config, [1, 2, 3])
+        state.params.theta[1, 0] = np.nan
+        with pytest.raises(TrainingDiverged, match="not finite") as caught:
+            run_epochs(state, dataset, config, 3, rows=[np.arange(30), np.arange(10, 40), np.arange(5, 35)])
+        assert (caught.value.epoch, caught.value.models) == (1, [1])
+
+    def test_diverged_stack_names_its_folds(self, monkeypatch):
+        """49 cases in 5 folds train as two stacks, folds 0-3 on 39 cases
+        and fold 4 on 40; a NaN planted in the second is named fold 4."""
+        real_init_stack = training.init_stack
+
+        def planted(sizes, *args):
+            state = real_init_stack(sizes, *args)
+            if list(sizes) == [40]:
+                state.params.theta[0, 0] = np.nan
+            return state
+
+        monkeypatch.setattr(training, "init_stack", planted)
+        with pytest.raises(TrainingDiverged) as caught:
+            cross_validate(_blob_dataset(49), (4,), TrainConfig(epochs=2, batch_size=8, folds=5, seed=0))
+        assert (caught.value.epoch, caught.value.models) == (1, [4])
 
     def test_dro_updates_stale_losses_for_drawn_cases(self):
         dataset = _blob_dataset(64)
@@ -344,12 +407,21 @@ class TestCheckpoint:
         stacked = MLPParams.from_theta(np.stack([m.theta for m in models]), models[0].dims)
         assert training._params_blob(stacked) == b"".join(per_layer(m) for m in models)
 
-    @pytest.mark.parametrize("cut", [0, 5, 20, 47, 48, 60, -9, -8, -5, -1])
+    @pytest.mark.parametrize("cut", [0, 5, 20, 47, 48, 60, -9, -8, -5, -1, *META_CORRUPTIONS])
     def test_truncated_file_rejected_naming_path(self, tmp_path, cut):
+        """A file cut at ``cut`` bytes, or whose meta is edited as
+        :data:`META_CORRUPTIONS` names, raises ``ValueError`` naming it."""
         config = TrainConfig(epochs=1, batch_size=6, mode="dro", seed=0)
         path = tmp_path / "fold_0.ckpt"
         save_checkpoint(path, init_state(30, (2, 4, 2), config), config)
-        path.write_bytes(path.read_bytes()[:cut])
+        raw = path.read_bytes()
+        if isinstance(cut, int):
+            raw = raw[:cut]
+        else:
+            meta_len = int.from_bytes(raw[40:48], "little")
+            meta = META_CORRUPTIONS[cut](raw[48 : 48 + meta_len])
+            raw = raw[:40] + struct.pack("<Q", len(meta)) + meta + raw[48 + meta_len :]
+        path.write_bytes(raw)
         with pytest.raises(ValueError, match=re.escape(str(path))):
             load_checkpoint(path, config)
 
