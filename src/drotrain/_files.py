@@ -1,4 +1,14 @@
-"""File helpers: whole-file replacement, and block-wise CSV reading and writing."""
+"""File helpers: whole-file replacement, and block-wise CSV reading and writing.
+
+CSV rows are written as text built here, not field by field through
+``csv.writer``: each number is its ``repr``, which is what ``csv`` writes
+for a Python int or float, each string is written as it is, and a block's
+rows are joined and written at once.  A block with a field that ``csv``
+would quote (or refuse) goes through ``csv.writer`` instead, so the bytes
+are ``csv``'s on every Python version without restating its quoting rules,
+which differ between versions (3.13 quotes a field holding ``\\r``, 3.10
+to 3.12 leave it bare; 3.10 refuses a NUL).
+"""
 
 from __future__ import annotations
 
@@ -6,6 +16,7 @@ import contextlib
 import csv
 import itertools
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +25,9 @@ import numpy as np
 # stay a minor share of memory at any file size, large enough that the
 # per-block numpy calls cost little next to the parsing.
 BLOCK_ROWS = 256
+
+# Characters that make ``csv`` quote a field (or refuse it) on some version.
+_CSV_SPECIAL = re.compile('[\0,"\r\n]')
 
 
 @contextlib.contextmanager
@@ -47,17 +61,50 @@ def blocks(rows, start: int):
         start += len(block)
 
 
+def _joined(block):
+    """The text of a block of aligned columns, one ``\\n``-ended line per
+    row; ``None`` if ``csv.writer`` must write it.
+
+    A numpy column of bools, ints or floats at most 8 bytes wide, which
+    ``tolist`` makes Python values, is written by ``repr`` (a longdouble
+    stays a numpy scalar, whose repr is not what ``csv`` writes).  Any other
+    column must hold only strings, none with a character in
+    ``_CSV_SPECIAL`` and, in a one-column table, none empty (``csv`` writes
+    a lone empty field as ``""``).
+    """
+    fields = []
+    for column in block:
+        if isinstance(column, np.ndarray):
+            if column.dtype.kind in "biuf" and column.dtype.itemsize <= 8:
+                fields.append(list(map(repr, column.tolist())))
+                continue
+            column = column.tolist()
+        try:
+            if _CSV_SPECIAL.search("".join(column)) or (len(block) == 1 and "" in column):
+                return None
+        except TypeError:  # a field that is not a str
+            return None
+        fields.append(column)
+    return "\n".join(map(",".join, zip(*fields))) + "\n"
+
+
 def write_rows(path, header, columns) -> None:
     """Write ``header``, then the rows of the aligned ``columns``, a block of
-    ``BLOCK_ROWS`` rows at a time.
+    ``BLOCK_ROWS`` rows at a time, with the bytes ``csv.writer`` would write.
 
-    A numpy column is written through ``tolist``, so ``csv`` writes its
-    floats by repr and they read back bit-exact.  The file is replaced
-    whole, never left half-written.
+    Each block is built as text by :func:`_joined` and written at once; a
+    block it declines (a field to quote, or one that is not a string or a
+    plain number) goes through ``csv.writer``.  Numbers are written by repr
+    either way, so floats read back bit-exact.  The file is replaced whole,
+    never left half-written.
     """
     with atomic_write(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for s in range(0, len(columns[0]), BLOCK_ROWS):
-            block = (c[s : s + BLOCK_ROWS] for c in columns)
-            writer.writerows(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in block)))
+            block = [c[s : s + BLOCK_ROWS] for c in columns]
+            text = _joined(block)
+            if text is None:
+                writer.writerows(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in block)))
+            else:
+                fh.write(text)

@@ -175,6 +175,18 @@ def _make_dir(path) -> Path:
     return path
 
 
+def _check_targets(dirs=(), files=()) -> None:
+    """Reject, before any work and creating nothing, an existing file where
+    one of ``dirs`` must be made or an existing directory where one of
+    ``files`` must be written."""
+    for path in dirs:
+        if os.path.lexists(path) and not path.is_dir():
+            raise UsageError(f"cannot use {path} as a run directory: it is a file")
+    for path in files:
+        if path.is_dir():
+            raise UsageError(f"cannot write {path}: it is a directory")
+
+
 def _out_dir(args, doc: dict) -> Path:
     out = args.out or doc.get("out")
     if not out:
@@ -189,8 +201,9 @@ def cmd_generate(args) -> int:
     if env is not None:
         seed = env
     out = _out_dir(args, doc)
-    dataset = datasets.generate(config, seed)
     path = out / DATASET_FILENAME
+    _check_targets(files=[path])
+    dataset = datasets.generate(config, seed)
     datasets.write_csv(dataset, path)
     prevalence = " ".join(f"{g}={frac:.3f}" for g, frac in dataset.prevalence().items())
     print(f"wrote {path}: n={len(dataset)} {prevalence}")
@@ -223,7 +236,18 @@ def cmd_train(args) -> int:
         except (OSError, ValueError) as exc:
             raise UsageError(f"test_dataset: {exc}") from exc
 
-    for config in configs:
+    run_dirs = [out / args.arm / f"seed_{config.seed}" for config in configs]
+    names = ["scores.csv"] + ["scores_test.csv"] * (test_dataset is not None)
+    _check_targets(
+        dirs=[out / args.arm, *run_dirs],
+        files=[
+            run_dir / name
+            for config, run_dir in zip(configs, run_dirs)
+            for name in [f"fold_{f}.ckpt" for f in range(config.folds)] + names
+        ],
+    )
+
+    for config, run_dir in zip(configs, run_dirs):
         try:
             result = cross_validate(dataset, hidden, config)
         except training.TrainingDiverged as exc:
@@ -232,7 +256,6 @@ def cmd_train(args) -> int:
                 f"train.{args.arm}: seed {config.seed}, {folds}, epoch {exc.epoch}: training diverged "
                 f"({exc.reason}); lower learning_rate"
             ) from exc
-        run_dir = out / args.arm / f"seed_{config.seed}"
         run_dir.mkdir(parents=True, exist_ok=True)
         for f, state in enumerate(result.states):
             training.save_checkpoint(run_dir / f"fold_{f}.ckpt", state, result.fold_configs[f])

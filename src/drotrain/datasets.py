@@ -145,19 +145,19 @@ def generate(config: SyntheticConfig, seed: int) -> Dataset:
     shifted = (labels + rng.integers(1, C, size=n)) % C
     labels = np.where(flip, shifted, labels)
 
-    width = max(4, len(str(n - 1)))
+    case_id = f"case_%0{max(4, len(str(n - 1)))}d"
     return Dataset(
         features,
         labels.astype(np.int64),
         [MINORITY if m else MAJORITY for m in is_minority],
-        [f"case_{i:0{width}d}" for i in range(n)],
+        [case_id % i for i in range(n)],
     )
 
 
 def write_csv(dataset: Dataset, path) -> None:
-    """Write ``case_id,group,label,f0..f{d-1}`` rows; ``csv`` writes floats
-    via repr, so the round-trip through :func:`read_csv` is bit-exact.  The
-    file is replaced whole, never left half-written."""
+    """Write ``case_id,group,label,f0..f{d-1}`` rows; floats are written by
+    repr, so the round-trip through :func:`read_csv` is bit-exact.  The file
+    is replaced whole, never left half-written."""
     d = dataset.features.shape[1]
     header = ["case_id", "group", "label"] + [f"f{j}" for j in range(d)]
     write_rows(path, header, [dataset.case_ids, dataset.groups, dataset.labels, *dataset.features.T])

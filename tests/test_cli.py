@@ -41,6 +41,20 @@ PINNED_REPORT_DIGESTS = {
     "report.txt": "c9f64f034ce595fc1861c5eef4f5411b98c2add72b30793ea72688ab871d7abb",
 }
 
+# SHA-256 of BASE_CONFIG's artifacts in TestTrain.test_artifact_bytes_are_pinned,
+# recorded before CSV rows were joined as text instead of written by csv.writer.
+# The training digests hold where numpy's float arithmetic gives the same bits
+# (recorded with numpy 2.4.6 and OpenBLAS on x86-64).
+PINNED_ARTIFACT_DIGESTS = {
+    "dataset.csv": "b4b2e22e3ff4fe401e50f3fb4ab69a6548c620ca972497367798526a69fbfac5",
+    "dro/seed_0/scores.csv": "4003a25182e0234cc904756714a93948a9720be44a7e2b814d92322de313efe1",
+    "dro/seed_0/fold_0.ckpt": "5fedde5297ef8666d7b27195c16371a03989a570461217cda0ad89bb451255be",
+}
+
+
+def _scores_written(out) -> list:
+    return [p for p in out.rglob("scores.csv") if p.is_file()]
+
 
 @pytest.fixture(autouse=True)
 def _no_seed_override(monkeypatch):
@@ -79,6 +93,15 @@ class TestGenerate:
         a = _run_pipeline(tmp_path, "a", arms=())
         b = _run_pipeline(tmp_path, "b", arms=())
         assert (a / "dataset.csv").read_bytes() == (b / "dataset.csv").read_bytes()
+
+    def test_directory_at_dataset_path_rejected_before_drawing(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "o"
+        config = _write_config(tmp_path, out)
+        (out / "dataset.csv").mkdir(parents=True)
+        monkeypatch.setattr(datasets, "generate", lambda *a: pytest.fail("data drawn"))
+        assert main(["generate", "--config", str(config)]) == 2
+        assert f"cannot write {out / 'dataset.csv'}: it is a directory" in capsys.readouterr().err
+        assert not any((out / "dataset.csv").iterdir())
 
     def test_unknown_data_field(self, tmp_path, capsys):
         config = _write_config(tmp_path, tmp_path / "o", data={"n_samples": 60, "sigma": 2})
@@ -352,6 +375,38 @@ class TestTrain:
         assert f"cannot use {taken} as the output directory" in capsys.readouterr().err
         assert taken.read_text(encoding="utf-8") == "not a directory\n"
 
+    @pytest.mark.parametrize(
+        "arm, taken, kind",
+        [
+            ("erm", "erm", "file"),
+            ("dro", "dro/seed_1", "file"),
+            ("erm", "erm/seed_1/scores.csv", "directory"),
+            ("dro", "dro/seed_0/fold_2.ckpt", "directory"),
+            ("erm", "erm/seed_1/scores_test.csv", "directory"),
+        ],
+    )
+    def test_path_in_the_way_rejected_before_training(self, tmp_path, capsys, monkeypatch, arm, taken, kind):
+        """A file where a run directory must go, or a directory where an
+        output file must go, exits 2 naming it before any seed trains."""
+        held_out_path = tmp_path / "held_out.csv"
+        held_out = datasets.generate(datasets.SyntheticConfig(n_samples=25, n_features=4, n_classes=3), seed=9)
+        datasets.write_csv(held_out, held_out_path)
+        out = tmp_path / "o"
+        config = _write_config(tmp_path, out, seeds=[0, 1], test_dataset=str(held_out_path))
+        assert main(["generate", "--config", str(config)]) == 0
+        path = out / taken
+        if kind == "file":
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text("in the way\n", encoding="utf-8")
+            message = f"cannot use {path} as a run directory: it is a file"
+        else:
+            path.mkdir(parents=True)
+            message = f"cannot write {path}: it is a directory"
+        monkeypatch.setattr(cli, "cross_validate", lambda *a: pytest.fail("a seed trained"))
+        assert main(["train", "--config", str(config), "--arm", arm]) == 2
+        assert message in capsys.readouterr().err
+        assert _scores_written(out) == []
+
     @pytest.mark.parametrize("n_features, n_classes", [(5, 3), (4, 4)])
     def test_mismatched_test_dataset_rejected_before_training(self, tmp_path, capsys, n_features, n_classes):
         held_out = datasets.generate(
@@ -479,6 +534,13 @@ class TestTrain:
         assert table.case_ids == held_out.case_ids
         assert table.groups == held_out.groups
         np.testing.assert_array_equal(table.scores, probs[np.arange(len(held_out)), held_out.labels])
+
+    def test_artifact_bytes_are_pinned(self, tmp_path):
+        """generate's dataset and one dro seed's scores and checkpoint keep
+        the SHA-256 they had when every CSV row went through csv.writer."""
+        out = _run_pipeline(tmp_path, "run", arms=("dro",))
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in PINNED_ARTIFACT_DIGESTS}
+        assert digests == PINNED_ARTIFACT_DIGESTS
 
     def test_test_dataset_scored_by_ensemble(self, tmp_path):
         held_out = datasets.generate(datasets.SyntheticConfig(n_samples=25, n_features=4, n_classes=3), seed=9)

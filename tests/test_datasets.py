@@ -209,12 +209,15 @@ def _adversarial_dataset():
 class TestCsvBytesMatchRowOracle:
     """The column writer emits the bytes of a one-row-at-a-time writer."""
 
-    def _assert_same_bytes(self, dataset, tmp_path):
+    def _write_both(self, dataset, tmp_path):
         ours, oracle = tmp_path / "ours.csv", tmp_path / "oracle.csv"
         write_csv(dataset, ours)
         write_csv_rows(dataset, oracle)
         assert ours.read_bytes() == oracle.read_bytes()
-        return read_csv(ours)
+        return ours
+
+    def _assert_same_bytes(self, dataset, tmp_path):
+        return read_csv(self._write_both(dataset, tmp_path))
 
     def test_generated_dataset_longer_than_a_block(self, tmp_path):
         n = 2 * BLOCK_ROWS + 37
@@ -231,6 +234,41 @@ class TestCsvBytesMatchRowOracle:
         assert np.signbit(back.features[0, 0])
         assert back.labels.tolist() == [12, 0, 10]
         assert back.case_ids == ds.case_ids and back.groups == ds.groups
+
+    def test_adversarial_floats_with_nothing_to_quote(self, tmp_path):
+        ds = _adversarial_dataset()
+        ds = Dataset(ds.features, ds.labels, ["minority", "majority", "majority"], ["a", "b", "c"])
+        back = self._assert_same_bytes(ds, tmp_path)
+        assert back.features.tobytes() == ds.features.tobytes()
+
+    @pytest.mark.parametrize("text", ["a\rb", "a\r\nb", "a\rb\r", "\r"])
+    def test_carriage_returns_as_the_running_csv_writes_them(self, tmp_path, text):
+        """Python 3.13 quotes a field holding a bare CR and 3.12 does not;
+        either way the bytes are csv's."""
+        ds = generate(SyntheticConfig(n_samples=5, n_features=2, n_classes=2), 3)
+        ds.case_ids[1] = text
+        ds.groups[3] = text
+        self._write_both(ds, tmp_path)
+
+    @pytest.mark.parametrize("text", ["case,7", 'case"7', "case\n7"])
+    def test_only_the_middle_block_needs_quoting(self, tmp_path, text):
+        ds = generate(SyntheticConfig(n_samples=3 * BLOCK_ROWS, n_features=3, n_classes=3), 5)
+        ds.case_ids[BLOCK_ROWS + 7] = text
+        back = self._assert_same_bytes(ds, tmp_path)
+        assert back.case_ids == ds.case_ids
+
+    def test_non_str_case_id(self, tmp_path):
+        ds = generate(SyntheticConfig(n_samples=BLOCK_ROWS + 3, n_features=2, n_classes=2), 6)
+        ds.case_ids[BLOCK_ROWS + 1] = 7
+        back = self._assert_same_bytes(ds, tmp_path)
+        assert back.case_ids[BLOCK_ROWS + 1] == "7"
+
+    @pytest.mark.parametrize("n", [BLOCK_ROWS, BLOCK_ROWS + 1])
+    def test_block_boundary(self, tmp_path, n):
+        ds = generate(SyntheticConfig(n_samples=n, n_features=3, n_classes=3), 8)
+        back = self._assert_same_bytes(ds, tmp_path)
+        np.testing.assert_array_equal(back.features, ds.features)
+        assert back.case_ids == ds.case_ids
 
 
 def _corrupt(path, line: int, column: int, text: str) -> None:

@@ -184,12 +184,15 @@ def _adversarial_rows():
 class TestWriteScoresMatchesRowOracle:
     """The column writer emits the bytes of a one-row-at-a-time writer."""
 
-    def _assert_same_bytes(self, table, rows, tmp_path):
+    def _write_both(self, table, rows, tmp_path):
         ours, oracle = tmp_path / "ours.csv", tmp_path / "oracle.csv"
         write_scores(table, ours)
         write_scores_rows(rows, oracle)
         assert ours.read_bytes() == oracle.read_bytes()
-        return load_scores(ours)
+        return ours
+
+    def _assert_same_bytes(self, table, rows, tmp_path):
+        return load_scores(self._write_both(table, rows, tmp_path))
 
     def test_table_longer_than_a_block(self, tmp_path):
         rng = np.random.default_rng(8)
@@ -210,6 +213,38 @@ class TestWriteScoresMatchesRowOracle:
         """A table built from a one-pass iterator of rows writes them all."""
         rows = _adversarial_rows()
         self._assert_same_bytes(ScoreTable(iter(rows)), rows, tmp_path)
+
+    def test_adversarial_scores_with_nothing_to_quote(self, tmp_path):
+        """-0.0, 5e-324 and 1e-05 in blocks joined as text (1e16 is no score)."""
+        rows = [ScoreRow(f"c{i}", "g", "overall", r.score) for i, r in enumerate(_adversarial_rows())]
+        back = self._assert_same_bytes(ScoreTable(rows), rows, tmp_path)
+        assert back.scores.tobytes() == np.array([r.score for r in rows]).tobytes()
+
+    @pytest.mark.parametrize("text", ["a\rb", "a\r\nb", "a\rb\r", "\r"])
+    def test_carriage_returns_as_the_running_csv_writes_them(self, tmp_path, text):
+        """Python 3.13 quotes a field holding a bare CR and 3.12 does not;
+        either way the bytes are csv's."""
+        rows = [ScoreRow("c0", "g", "overall", 0.5), ScoreRow(text, "g", "o", 0.25), ScoreRow("c2", text, text, 1.0)]
+        self._write_both(ScoreTable(rows), rows, tmp_path)
+
+    @pytest.mark.parametrize("text", ["c,7", 'c"7', "c\n7"])
+    def test_only_the_middle_block_needs_quoting(self, tmp_path, text):
+        rows = [ScoreRow(f"c{i}", "g", "overall", i / (3 * BLOCK_ROWS)) for i in range(3 * BLOCK_ROWS)]
+        rows[BLOCK_ROWS + 7] = ScoreRow("c", text, "overall", 0.5)
+        back = self._assert_same_bytes(ScoreTable(rows), rows, tmp_path)
+        assert back.rows == rows
+
+    def test_non_str_case_id(self, tmp_path):
+        rows = [ScoreRow(f"c{i}", "g", "overall", 0.5) for i in range(BLOCK_ROWS + 3)]
+        rows[BLOCK_ROWS + 1] = ScoreRow(7, "g", "overall", 0.75)
+        back = self._assert_same_bytes(ScoreTable(rows), rows, tmp_path)
+        assert back.case_ids[BLOCK_ROWS + 1] == "7"
+
+    @pytest.mark.parametrize("n", [BLOCK_ROWS, BLOCK_ROWS + 1])
+    def test_block_boundary(self, tmp_path, n):
+        rows = [ScoreRow(f"c{i}", "g", "overall", i / n) for i in range(n)]
+        back = self._assert_same_bytes(ScoreTable(rows), rows, tmp_path)
+        assert back.rows == rows
 
 
 class TestLoadScoresAcrossBlocks:
