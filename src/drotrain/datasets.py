@@ -163,16 +163,18 @@ def write_csv(dataset: Dataset, path) -> None:
     write_rows(path, header, [dataset.case_ids, dataset.groups, dataset.labels, *dataset.features.T])
 
 
-def _parse_block(block, width: int) -> tuple:
-    """(labels, features) arrays of a block of rows; ``ValueError`` if any
-    row has the wrong field count or an unparseable value, ``OverflowError``
-    if a label does not fit in 64 bits."""
+def _parse_block(block, width: int, labels: np.ndarray, features: np.ndarray) -> None:
+    """Parse a block of rows into ``labels`` and ``features``, the block's
+    rows of the dataset's arrays; ``ValueError`` if any row has the wrong
+    field count, a case id or group holding ``\\r`` or an unparseable
+    value, ``OverflowError`` if a label does not fit in 64 bits."""
     if set(map(len, block)) != {width}:
         raise ValueError("field count")
-    labels = np.fromiter(map(int, map(itemgetter(2), block)), np.int64, len(block))
+    if "\r" in "".join(chain.from_iterable(map(itemgetter(0, 1), block))):
+        raise ValueError("carriage return")
+    labels[:] = np.fromiter(map(int, map(itemgetter(2), block)), np.int64, len(block))
     values = chain.from_iterable(map(itemgetter(slice(3, None)), block))
-    features = np.fromiter(map(float, values), float, len(block) * (width - 3))
-    return labels, features.reshape(len(block), width - 3)
+    features[:] = np.fromiter(map(float, values), float, features.size).reshape(features.shape)
 
 
 def _first_fault(path, first: int, block, width: int) -> str:
@@ -180,6 +182,8 @@ def _first_fault(path, first: int, block, width: int) -> str:
     for lineno, row in enumerate(block, start=first):
         if len(row) != width:
             return f"{path}:{lineno}: expected {width} fields, got {len(row)}"
+        if "\r" in row[0] + row[1]:
+            return f"{path}:{lineno}: carriage return in case_id or group"
         try:
             label = int(row[2])
         except ValueError:
@@ -212,15 +216,26 @@ def _check_ids(path, case_ids: list, groups: list) -> None:
         raise ValueError(f"{path}:{second + 2}: case_id {repeat!r} repeats line {first + 2}")
 
 
+def _max_rows(path) -> int:
+    """A bound on the rows of a CSV file: ``csv`` ends a row only at a
+    ``\\n`` or ``\\r``, so a file has at most one row more than such bytes."""
+    with open(path, "rb") as fh:
+        return 1 + sum(chunk.count(b"\n") + chunk.count(b"\r") for chunk in iter(lambda: fh.read(1 << 20), b""))
+
+
 def read_csv(path) -> Dataset:
     """Parse a dataset written by :func:`write_csv`, validating the header
-    and rejecting unparseable or non-finite values, empty groups and empty
-    or repeated case ids; errors name the line.
+    and rejecting unparseable or non-finite values, empty groups, case ids
+    or groups holding ``\\r``, and empty or repeated case ids; errors name
+    the line.
 
-    Rows are parsed a block at a time straight into numpy columns, and each
+    Rows are parsed a block at a time straight into the dataset's numpy
+    arrays, allocated once for the most rows the file can hold (memory
+    never written is never resident) and cut to the rows read, and each
     distinct group name is kept as one string, so no Python object per
     value or per group field outlives its block.
     """
+    bound = _max_rows(path)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -231,25 +246,24 @@ def read_csv(path) -> Dataset:
         d = len(header) - 3
         if d < 1 or header[3:] != [f"f{j}" for j in range(d)]:
             raise ValueError(f"{path}: malformed feature columns in header")
+        labels, features = np.empty(bound, dtype=np.int64), np.empty((bound, d))
         names: dict = {}
-        case_ids, groups, label_blocks, feature_blocks = [], [], [], []
+        case_ids, groups = [], []
         for first, block in blocks(reader, start=2):
+            rows = slice(first - 2, first - 2 + len(block))
             try:
-                block_labels, block_features = _parse_block(block, len(header))
+                _parse_block(block, len(header), labels[rows], features[rows])
             except (ValueError, OverflowError):
                 raise ValueError(_first_fault(path, first, block, len(header))) from None
-            label_blocks.append(block_labels)
-            feature_blocks.append(block_features)
             case_ids.extend(map(itemgetter(0), block))
             block_groups = list(map(itemgetter(1), block))
             groups.extend(map(names.setdefault, block_groups, block_groups))
     if not case_ids:
         raise ValueError(f"{path}: dataset has no rows")
     _check_ids(path, case_ids, groups)
-    labels = np.concatenate(label_blocks)
+    labels, features = labels[: len(case_ids)], features[: len(case_ids)]
     if labels.min() < 0:
         raise ValueError(f"{path}: labels must be non-negative")
-    features = np.concatenate(feature_blocks)
     finite = np.isfinite(features).all(axis=1)
     if not finite.all():
         raise ValueError(f"{path}:{int(np.argmin(finite)) + 2}: non-finite feature value")

@@ -305,16 +305,23 @@ class HardnessWeightedSampler:
         np.add.at(counts, indices, 1)
         return indices, weights
 
-    def state_dict(self) -> dict:
-        """JSON-serializable snapshot, inverse of :meth:`from_state_dict`."""
+    def _state_arrays(self) -> dict:
+        """:meth:`state_dict` with its two per-leaf entries left as numpy
+        arrays, viewing (not copying) this sampler's leaves."""
         if not self._single:
             raise ValueError("a stack has no state_dict; unstack() it into one sampler per tree")
+        n = int(self._sizes[0, 0])
         return {
             "config": asdict(self.config),
-            "stale_losses": self.stale_losses.tolist(),
-            "draw_counts": self.draw_counts.tolist(),
+            "stale_losses": self._stale.reshape(-1)[:n],
+            "draw_counts": self._counts[0, :n],
             "rng_state": self._rngs[0].bit_generator.state,
         }
+
+    def state_dict(self) -> dict:
+        """JSON-serializable snapshot, inverse of :meth:`from_state_dict`."""
+        state = self._state_arrays()
+        return {**state, "stale_losses": state["stale_losses"].tolist(), "draw_counts": state["draw_counts"].tolist()}
 
     @classmethod
     def from_state_dict(cls, state: dict) -> "HardnessWeightedSampler":

@@ -10,7 +10,9 @@ a block of rows at a time.
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -29,13 +31,29 @@ class ScoreRow:
     score: float
 
 
+def _repeats(keys) -> bool:
+    """Whether any of ``keys`` repeats, decided on a sorted copy of them.
+
+    A sorted copy costs a list where a set would cost a hash table several
+    times its size, and it takes linear time when the keys arrive sorted,
+    as generated ids do.  Keys that cannot be ordered, such as a mix of
+    ``str`` and ``int`` ids, are put in a set instead.
+    """
+    try:
+        ordered = sorted(keys)
+    except TypeError:
+        return len(set(keys)) != len(keys)
+    return any(map(operator.eq, ordered, islice(ordered, 1, None)))
+
+
 def _first_repeat(case_ids, regions):
     """``(i, j)``: row ``i`` is the first whose (case_id, region) pair
     already appeared, first at row ``j``; ``None`` if every pair is unique.
     With a single region the case ids alone are the keys, and no pair
-    tuples are built."""
+    tuples are built.  The rows are walked in order, to find the first
+    repeat, only once :func:`_repeats` has found that there is one."""
     keys = case_ids if len(set(regions)) <= 1 else list(zip(case_ids, regions))
-    if len(set(keys)) == len(keys):
+    if not _repeats(keys):
         return None
     first: dict = {}
     for i, key in enumerate(keys):
@@ -113,9 +131,11 @@ def _first_fault(path, first: int, block) -> tuple:
     for lineno, raw in enumerate(block, start=first):
         if len(raw) != 4:
             return lineno, f"{path}:{lineno}: expected 4 fields, got {len(raw)}"
-        case_id, group, _, score_text = raw
+        case_id, group, region, score_text = raw
         if not case_id or not group:
             return lineno, f"{path}:{lineno}: empty case_id or group"
+        if "\r" in case_id + group + region:
+            return lineno, f"{path}:{lineno}: carriage return in case_id, group or region"
         try:
             score = float(score_text)
         except ValueError:
@@ -145,6 +165,8 @@ def _parse_block(block) -> tuple:
     case_ids, groups, regions, texts = zip(*block)
     if not (all(case_ids) and all(groups)):
         raise ValueError("empty case_id or group")
+    if "\r" in "".join(case_ids + groups + regions):
+        raise ValueError("carriage return in case_id, group or region")
     scores = np.fromiter(map(float, texts), float, len(texts))
     if not ((scores >= 0.0) & (scores <= 1.0)).all():
         raise ValueError("score outside [0, 1]")
@@ -154,9 +176,12 @@ def _parse_block(block) -> tuple:
 def load_scores(path) -> ScoreTable:
     """Parse a score CSV, preserving row order; errors name the line.
 
-    Of several faulty rows, the first in the file is reported.  Each check
-    runs once: scores block by block as they are parsed, pairs once over
-    the whole file (or, when a block fails, over the rows before its fault).
+    A case id, group or region holding ``\\r`` is rejected: ``csv`` on
+    Python 3.10 to 3.12 writes such a field unquoted, and that file does
+    not read back.  Of several faulty rows, the first in the file is
+    reported.  Each check runs once: scores block by block as they are
+    parsed, pairs once over the whole file (or, when a block fails, over
+    the rows before its fault).
     """
     names: dict = {}
     case_ids, groups, regions, scores = [], [], [], []

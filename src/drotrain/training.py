@@ -83,6 +83,10 @@ CHECKPOINT_MAGIC = b"DROCKPT1"
 # blocks OpenBLAS takes another path for small matrices.
 SCORE_BLOCK = 4096
 
+# Sampler leaves encoded per write of a checkpoint's meta: enough that the
+# writes cost little, few enough that their text stays small at any n.
+CHECKPOINT_SLICE = 4096
+
 MODES = ("erm", "dro")
 
 
@@ -357,9 +361,10 @@ def _score_rows(params: MLPParams, dataset: Dataset, rows) -> np.ndarray:
 
 def _score_table(dataset: Dataset, rows, scores) -> ScoreTable:
     """The table of ``dataset``'s ``rows``, in that order, with ``scores``."""
-    at = rows.tolist()
-    groups, case_ids = [dataset.groups[i] for i in at], [dataset.case_ids[i] for i in at]
-    return ScoreTable.from_columns(case_ids, groups, [SCORE_REGION] * len(at), scores)
+    # Gathered through object arrays, so no Python int is made per row.
+    case_ids = np.array(dataset.case_ids, dtype=object)[rows].tolist()
+    groups = np.array(dataset.groups, dtype=object)[rows].tolist()
+    return ScoreTable.from_columns(case_ids, groups, [SCORE_REGION] * rows.size, scores)
 
 
 def cross_validate(dataset: Dataset, hidden_dims, config: TrainConfig) -> CrossValResult:
@@ -409,10 +414,41 @@ def _params_blob(params: MLPParams) -> bytes:
     return params.theta.astype("<f8", copy=False).tobytes()
 
 
+def _write_json(fh, value) -> None:
+    """Write ``value`` to the binary file ``fh`` as ``json.dumps(value,
+    sort_keys=True, separators=(",", ":"))`` would, each numpy array as the
+    list of its values, :data:`CHECKPOINT_SLICE` values at a time.
+
+    ``json`` writes an int by ``int.__repr__`` and a finite float by
+    ``float.__repr__``, so the arrays, which hold ints or finite floats,
+    give the same bytes without ever being one list or one string.
+    """
+    if isinstance(value, np.ndarray):
+        fh.write(b"[")
+        for start in range(0, value.size, CHECKPOINT_SLICE):
+            text = ",".join(map(repr, value[start : start + CHECKPOINT_SLICE].tolist()))
+            fh.write(("," * (start > 0) + text).encode("ascii"))
+        fh.write(b"]")
+    elif isinstance(value, dict):
+        fh.write(b"{")
+        for i, key in enumerate(sorted(value)):
+            fh.write(("," * (i > 0) + json.dumps(key) + ":").encode("ascii"))
+            _write_json(fh, value[key])
+        fh.write(b"}")
+    else:
+        fh.write(json.dumps(value, sort_keys=True, separators=(",", ":")).encode("ascii"))
+
+
 def save_checkpoint(path, state: TrainState, config: TrainConfig) -> None:
     """Binary layout: magic, config digest, meta length, JSON meta, f64 params.
 
-    The file is replaced whole, never left half-written.
+    The meta is ``json.dumps(meta, sort_keys=True, separators=(",", ":"))``
+    of the run's dims, epoch, mode and RNG: a generator's state, or the
+    sampler's :meth:`~HardnessWeightedSampler.state_dict`.  It is written
+    by :func:`_write_json`, so a sampler's per-leaf arrays never become
+    Python lists or one JSON string, and its length, which precedes it, is
+    filled in once it is written.  The file is replaced whole, never left
+    half-written.
     """
     dims = state.params.dims
     meta = {
@@ -420,14 +456,17 @@ def save_checkpoint(path, state: TrainState, config: TrainConfig) -> None:
         "epoch": state.epoch,
         "mode": config.mode,
         "rng_state": state.rng.bit_generator.state if state.rng is not None else None,
-        "sampler": state.sampler.state_dict() if state.sampler is not None else None,
+        "sampler": state.sampler._state_arrays() if state.sampler is not None else None,
     }
-    meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
     with atomic_write(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(config_digest(config, dims))
-        fh.write(struct.pack("<Q", len(meta_bytes)))
-        fh.write(meta_bytes)
+        fh.write(struct.pack("<Q", 0))  # the meta length, once known
+        _write_json(fh, meta)
+        end = fh.tell()
+        fh.seek(40)
+        fh.write(struct.pack("<Q", end - 48))
+        fh.seek(end)
         fh.write(_params_blob(state.params))
 
 

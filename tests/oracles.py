@@ -4,19 +4,24 @@ Everything here deliberately avoids the library's own code paths: the
 log-sum-exp oracle runs in 50-digit decimal arithmetic, the simplex oracle
 finds maximizers by exhaustive grid search, the percentile oracle is a
 plain sort-and-index over Python lists, the dataset subset gathers its
-rows one by one, and the CSV writers format one row at a time with an
-explicit ``repr`` per float.
+rows one by one, the CSV writers format one row at a time with an
+explicit ``repr`` per float, the checkpoint writer encodes the whole meta
+with one ``json.dumps``, and the first repeated pair is found by one walk
+over a dict of pairs.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
+import struct
 from decimal import Decimal, localcontext
 
 import numpy as np
 
 from drotrain.datasets import Dataset
+from drotrain.training import config_digest
 
 
 def lse_highprec(losses, beta: float) -> float:
@@ -126,3 +131,34 @@ def write_scores_rows(rows, path) -> None:
         writer.writerow(["case_id", "group", "region", "score"])
         for row in rows:
             writer.writerow([row.case_id, row.group, row.region, repr(float(row.score))])
+
+
+def checkpoint_bytes(state, config) -> bytes:
+    """A checkpoint's bytes with its meta encoded by one ``json.dumps``:
+    magic, config digest, meta length, meta, little-endian f64 params."""
+    meta = {
+        "dims": list(state.params.dims),
+        "epoch": state.epoch,
+        "mode": config.mode,
+        "rng_state": state.rng.bit_generator.state if state.rng is not None else None,
+        "sampler": state.sampler.state_dict() if state.sampler is not None else None,
+    }
+    meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
+    return (
+        b"DROCKPT1"
+        + config_digest(config, state.params.dims)
+        + struct.pack("<Q", len(meta_bytes))
+        + meta_bytes
+        + np.asarray(state.params.theta, dtype="<f8").tobytes()
+    )
+
+
+def first_repeat_walk(case_ids, regions):
+    """``(i, j)``: row ``i`` is the first whose (case_id, region) pair
+    appeared before, first at row ``j``; ``None`` if none repeats."""
+    first = {}
+    for i, pair in enumerate(zip(case_ids, regions)):
+        if pair in first:
+            return i, first[pair]
+        first[pair] = i
+    return None

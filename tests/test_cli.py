@@ -347,6 +347,31 @@ class TestTrain:
         assert "test_dataset: " + f"{held_out_path}:9: case_id 'case_0002' repeats line 4" in capsys.readouterr().err
         assert not (out / "erm").exists()
 
+    @pytest.mark.parametrize("column", [0, 1], ids=["case_id", "group"])
+    def test_carriage_return_in_dataset_rejected_before_training(self, tmp_path, capsys, column):
+        """Line 4's case id or group, quoted, holds a ``\\r``."""
+        out = tmp_path / "o"
+        config = _write_config(tmp_path, out)
+        assert main(["generate", "--config", str(config)]) == 0
+        lines = (out / "dataset.csv").read_text(encoding="utf-8").splitlines()
+        cells = lines[3].split(",")
+        cells[column] = '"a\rb"'
+        lines[3] = ",".join(cells)
+        (out / "dataset.csv").write_bytes(("\n".join(lines) + "\n").encode())
+        assert main(["train", "--config", str(config), "--arm", "dro"]) == 2
+        assert f"{out / 'dataset.csv'}:4: carriage return in case_id or group" in capsys.readouterr().err
+        assert not (out / "dro").exists()
+
+    def test_carriage_return_in_test_dataset_rejected_before_training(self, tmp_path, capsys):
+        held_out_path = tmp_path / "held_out.csv"
+        held_out_path.write_bytes(b'case_id,group,label,f0,f1,f2,f3\n"a\rb",majority,0,0.0,0.0,0.0,0.0\n')
+        out = tmp_path / "run"
+        config = _write_config(tmp_path, out, test_dataset=str(held_out_path))
+        assert main(["generate", "--config", str(config)]) == 0
+        assert main(["train", "--config", str(config), "--arm", "erm"]) == 2
+        assert f"test_dataset: {held_out_path}:2: carriage return in case_id or group" in capsys.readouterr().err
+        assert not (out / "erm").exists()
+
     @pytest.mark.parametrize("arm", ["erm", "dro"])
     def test_diverging_run_exits_2_naming_where(self, tmp_path, capsys, arm):
         """A step size that overflows stops the seed in its first epoch,

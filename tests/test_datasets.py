@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -334,6 +335,77 @@ class TestCsvParseErrors:
         _corrupt(path, BLOCK_ROWS + 4, 6, "inf")
         with pytest.raises(ValueError, match=_at(path, BLOCK_ROWS + 4) + "non-finite feature value$"):
             read_csv(path)
+
+
+class TestCarriageReturns:
+    """A case id or group holding ``\\r`` is rejected naming its line: csv on
+    Python 3.10-3.12 writes such a field unquoted, and a score file written
+    from it would not read back."""
+
+    HEADER = b"case_id,group,label,f0,f1\n"
+
+    def _write(self, tmp_path, rows):
+        path = tmp_path / "cr.csv"
+        path.write_bytes(self.HEADER + b"".join(rows))
+        return path
+
+    @pytest.mark.parametrize("text", ["a\rb", "a\r\nb", "\r", "ab\r"])
+    @pytest.mark.parametrize("column", [0, 1], ids=["case_id", "group"])
+    def test_quoted_carriage_return_names_line(self, tmp_path, text, column):
+        cells = ["c1", "majority"]
+        cells[column] = '"' + text + '"'
+        path = self._write(tmp_path, [b"c0,majority,0,1.0,2.0\n", (",".join(cells) + ",1,3.0,4.0\n").encode()])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: carriage return in case_id or group$"):
+            read_csv(path)
+
+    def test_line_counted_across_blocks(self, tmp_path):
+        rows = [f"c{i},majority,0,1.0,2.0\n".encode() for i in range(2 * BLOCK_ROWS)]
+        rows[BLOCK_ROWS + 3] = b'"c\rx",majority,0,1.0,2.0\n'
+        path = self._write(tmp_path, rows)
+        with pytest.raises(ValueError, match=f":{BLOCK_ROWS + 5}: carriage return in case_id or group$"):
+            read_csv(path)
+
+    def test_first_faulty_row_of_a_block_wins(self, tmp_path):
+        """A block's faults are reported in row order, a carriage return
+        among them."""
+        rows = [f"c{i},majority,0,1.0,2.0\n".encode() for i in range(6)]
+        rows[2], rows[3] = b'c2,"g\rh",0,1.0,2.0\n', b"c3,majority,0,abc,2.0\n"
+        with pytest.raises(ValueError, match=":4: carriage return"):
+            read_csv(self._write(tmp_path, rows))
+        rows[1] = b"c1,majority,x,1.0,2.0\n"
+        with pytest.raises(ValueError, match=":3: unparseable label 'x'$"):
+            read_csv(self._write(tmp_path, rows))
+
+
+class TestCsvRowBound:
+    """Rows are parsed into arrays sized by the file's line-ending bytes."""
+
+    @pytest.mark.parametrize(
+        "body",
+        [b"c0,g,0,1.0\r\nc1,g,1,2.0\r\n", b"c0,g,0,1.0\rc1,g,1,2.0", b'"c\n0",g,0,1.0\nc1,g,1,2.0\n'],
+        ids=["crlf", "cr-no-final-newline", "quoted-newline"],
+    )
+    def test_line_endings(self, tmp_path, body):
+        path = tmp_path / "ds.csv"
+        path.write_bytes(b"case_id,group,label,f0\n" + body)
+        back = read_csv(path)
+        assert back.features.tolist() == [[1.0], [2.0]] and back.labels.tolist() == [0, 1]
+        assert back.case_ids[1] == "c1"
+
+    def test_parse_holds_little_beyond_the_dataset(self, tmp_path):
+        """Reading 20k rows of 8 features traces under 1 MiB more than the
+        dataset it returns holds; per-block arrays joined at the end traced
+        1.6 MiB more."""
+        path = tmp_path / "ds.csv"
+        write_csv(generate(SyntheticConfig(n_samples=20_000, n_features=8, n_classes=3), 2), path)
+        tracemalloc.start()
+        try:
+            back = read_csv(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(back) == 20_000
+        assert peak - held < 1 << 20
 
 
 class TestKfoldIndices:

@@ -4,10 +4,12 @@ import re
 
 import numpy as np
 import pytest
-from oracles import write_scores_rows
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import first_repeat_walk, write_scores_rows
 
 from drotrain._files import BLOCK_ROWS
-from drotrain.scores import ScoreRow, ScoreTable, load_scores, write_scores
+from drotrain.scores import ScoreRow, ScoreTable, _first_repeat, load_scores, write_scores
 
 HEADER = "case_id,group,region,score\n"
 
@@ -70,6 +72,63 @@ class TestLoadScores:
         path = _write(tmp_path, "")
         with pytest.raises(ValueError):
             load_scores(path)
+
+
+class TestCarriageReturns:
+    """A case id, group or region holding ``\\r`` is rejected naming its
+    line: csv on Python 3.10-3.12 writes such a field unquoted, and the
+    file would not read back."""
+
+    @pytest.mark.parametrize("text", ["a\rb", "a\r\nb", "\r"])
+    @pytest.mark.parametrize("column", [0, 1, 2], ids=["case_id", "group", "region"])
+    def test_quoted_carriage_return_names_line(self, tmp_path, text, column):
+        cells = ["c1", "g", "overall"]
+        cells[column] = '"' + text + '"'
+        path = tmp_path / "scores.csv"
+        path.write_bytes((HEADER + "c0,g,overall,0.5\n" + ",".join(cells) + ",0.25\n").encode())
+        with pytest.raises(
+            ValueError, match=f"^{re.escape(str(path))}:3: carriage return in case_id, group or region$"
+        ):
+            load_scores(path)
+
+    def test_in_second_block_after_a_fault(self, tmp_path):
+        """Of a carriage return and a later faulty row, the earlier line is
+        reported."""
+        lines = [f"c{i},g,r,0.5" for i in range(2 * BLOCK_ROWS)]
+        lines[BLOCK_ROWS + 1] = 'c,g,"r\rs",0.5'
+        lines[BLOCK_ROWS + 2] = "cx,g,r,abc"
+        path = _write(tmp_path, "\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f":{BLOCK_ROWS + 3}: carriage return in case_id, group or region$"):
+            load_scores(path)
+
+
+# Case ids from a small alphabet, so that pairs often repeat, and ints
+# among them, which cannot be ordered against strings.
+CASE_IDS = st.one_of(st.text(alphabet="ab", max_size=2), st.integers(-1, 2))
+
+
+class TestFirstRepeat:
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(
+        st.lists(st.tuples(CASE_IDS, st.sampled_from(["overall", "r1", "r2"])), max_size=30),
+        st.sampled_from(["as drawn", "one region", "str ids", "sorted str ids"]),
+    )
+    def test_matches_the_dict_walk(self, rows, variant):
+        case_ids = [c for c, _ in rows]
+        regions = [r for _, r in rows]
+        if variant == "one region":
+            regions = ["overall"] * len(rows)
+        if variant.endswith("str ids"):
+            case_ids = [str(c) for c in case_ids]
+        if variant == "sorted str ids":
+            case_ids.sort()
+        assert _first_repeat(case_ids, regions) == first_repeat_walk(case_ids, regions)
+
+    def test_unique_and_repeated_generated_ids(self):
+        ids = [f"case_{i:05d}" for i in range(3000)]
+        assert _first_repeat(ids, ["overall"] * 3000) is None
+        ids[2500] = ids[17]
+        assert _first_repeat(ids, ["overall"] * 3000) == (2500, 17)
 
 
 class TestWriteScores:

@@ -3,11 +3,12 @@
 import json
 import re
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import replacement_sgd_oracle, subset
+from oracles import checkpoint_bytes, replacement_sgd_oracle, subset
 
 from drotrain import scores, training
 from drotrain._files import BLOCK_ROWS
@@ -22,6 +23,7 @@ from drotrain.mlp import (
 )
 from drotrain.sampler import HardnessWeightedSampler, SamplerConfig
 from drotrain.training import (
+    CHECKPOINT_SLICE,
     SCORE_REGION,
     TrainConfig,
     cross_validate,
@@ -72,6 +74,20 @@ META_CORRUPTIONS = {
     "both-rngs": _meta_set(rng_state={"bit_generator": "PCG64"}),
     "bad-rng-state": _meta_set(rng_state={"bit_generator": "PCG64"}, sampler=None),
 }
+
+
+MiB = 1 << 20
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes that ``tracemalloc`` (which sees numpy's buffers) traces
+    while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _params_equal(a, b):
@@ -494,6 +510,72 @@ class TestCheckpoint:
         path.write_bytes(b"NOTACKPT" + b"\x00" * 64)
         with pytest.raises(ValueError, match="magic"):
             load_checkpoint(path, TrainConfig())
+
+
+class TestCheckpointMeta:
+    """The meta written a slice of sampler leaves at a time is byte for
+    byte the one ``json.dumps`` of the whole meta that the oracle writes."""
+
+    # Stale losses whose text is easy to get wrong: the smallest subnormal,
+    # an exponent form, a signed zero and the loss ceiling.
+    STALE = [5e-324, 1e-05, -0.0, MAX_LOSS, 0.1 + 0.2]
+    COUNTS = [0, 1, 2**31, 2**40 + 7, 3]
+
+    def _assert_oracle_bytes(self, tmp_path, state, config):
+        path = tmp_path / "fold_0.ckpt"
+        save_checkpoint(path, state, config)
+        assert path.read_bytes() == checkpoint_bytes(state, config)
+        return path
+
+    @pytest.mark.parametrize(
+        "n", [1, CHECKPOINT_SLICE - 1, CHECKPOINT_SLICE, CHECKPOINT_SLICE + 1, 2 * CHECKPOINT_SLICE + 123]
+    )
+    def test_sampler_sizes_around_the_slice(self, tmp_path, n):
+        config = TrainConfig(epochs=1, batch_size=1, mode="dro", seed=0)
+        state = init_state(n, (2, 3, 2), config)
+        snapshot = state.sampler.state_dict()
+        snapshot["stale_losses"] = [self.STALE[i % len(self.STALE)] for i in range(n)]
+        snapshot["draw_counts"] = [self.COUNTS[i % len(self.COUNTS)] for i in range(n)]
+        state.sampler = HardnessWeightedSampler.from_state_dict(snapshot)
+        path = self._assert_oracle_bytes(tmp_path, state, config)
+        loaded = load_checkpoint(path, config)
+        assert loaded.sampler.stale_losses.tobytes() == np.array(snapshot["stale_losses"]).tobytes()
+        assert loaded.sampler.draw_counts.tolist() == snapshot["draw_counts"]
+
+    def test_negative_init_loss(self, tmp_path):
+        config = TrainConfig(epochs=1, batch_size=1, mode="dro", sampler=SamplerConfig(init_loss=-2.5), seed=0)
+        self._assert_oracle_bytes(tmp_path, init_state(CHECKPOINT_SLICE + 5, (2, 3, 2), config), config)
+
+    @pytest.mark.parametrize("mode", ["erm", "dro"])
+    def test_trained_states(self, tmp_path, mode):
+        dataset = _blob_dataset(40)
+        config = TrainConfig(epochs=2, batch_size=8, mode=mode, seed=3)
+        state = run_epochs(init_state(len(dataset), (2, 6, 2), config), dataset, config, 2)
+        self._assert_oracle_bytes(tmp_path, state, config)
+
+    def test_peak_memory_of_a_large_sampler(self, tmp_path):
+        """A 50k-leaf sampler's checkpoint traces under 2 MiB; encoding its
+        meta as one JSON string traced 6.9 MiB."""
+        config = TrainConfig(epochs=1, batch_size=32, mode="dro", seed=0)
+        state = init_state(50_000, (8, 32, 3), config)
+        peak = _traced_peak(lambda: save_checkpoint(tmp_path / "fold_0.ckpt", state, config))
+        assert peak < 2 * MiB
+
+
+class TestScoreTablePeakMemory:
+    def test_score_table_of_100k_rows(self):
+        """The table of 100k unique ids traces under 5 MiB, its own three
+        columns included; a list of row ints and a set of the ids traced
+        12.1 MiB."""
+        n = 100_000
+        dataset = Dataset(
+            np.zeros((n, 1)), np.zeros(n, dtype=np.int64), ["majority"] * n, [f"case_{i:06d}" for i in range(n)]
+        )
+        rows, values = np.arange(n), np.full(n, 0.5)
+        tables = []
+        peak = _traced_peak(lambda: tables.append(training._score_table(dataset, rows, values)))
+        assert peak < 5 * MiB
+        assert tables[0].case_ids == dataset.case_ids and tables[0].groups == dataset.groups
 
 
 class TestCrashSafeWrites:
