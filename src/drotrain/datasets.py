@@ -6,20 +6,30 @@ minority population whose clusters are shifted to a different region of
 feature space and packed closer together, which makes the minority strictly
 harder to classify.  The subgroup tag is carried alongside each sample so
 evaluation can stratify on it, but models never see it as a feature.
+
+A dataset is stored as ``dataset.csv``.  ``generate`` also writes its binary
+twin, ``dataset.bin``, keyed by the SHA-256 of the CSV's bytes, so that
+each ``train`` loads the arrays instead of parsing the text again; the CSV
+stays the dataset, and a CSV without a matching twin is parsed.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
+import json
 import math
+import os
+import struct
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, islice
 from operator import itemgetter
+from pathlib import Path
 
 import numpy as np
 
-from ._files import blocks, write_rows
+from ._files import atomic_write, blocks, write_rows
 
 __all__ = [
     "SyntheticConfig",
@@ -28,6 +38,8 @@ __all__ = [
     "MINORITY",
     "generate",
     "write_csv",
+    "write_twin",
+    "twin_path",
     "read_csv",
     "kfold_indices",
 ]
@@ -36,6 +48,12 @@ MAJORITY = "majority"
 MINORITY = "minority"
 
 HOLDOUT_FRACTION = 0.2
+
+TWIN_MAGIC = b"DRODATA1"
+
+# The twin's header: magic, the CSV's SHA-256, the payload's SHA-256 and
+# the payload's first field, the meta length.
+TWIN_HEAD = 80
 
 
 @dataclass(frozen=True)
@@ -198,12 +216,17 @@ def _first_fault(path, first: int, block, width: int) -> str:
     raise AssertionError("a block that failed to parse has a faulty row")
 
 
-def _check_ids(path, case_ids: list, groups: list) -> None:
-    """Reject an empty group, an empty case id or a repeated one; the error
-    names the line, and both lines of a repeat.  Repeats are found in a
-    sorted copy of the ids, which costs less memory than a set of them; the
-    lines are looked up only on failure.
+def _check_columns(path, dataset: Dataset) -> None:
+    """The checks both read paths share, on the dataset read from ``path``:
+    at least one row, no empty group, no empty or repeated case id, no
+    ``\\r`` in a case id or group, no negative label and no non-finite
+    feature.  The error names the first faulty line, and both lines of a
+    repeat.  Repeats are found in a sorted copy of the ids, which costs
+    less memory than a set of them; the lines are looked up only on failure.
     """
+    case_ids, groups = dataset.case_ids, dataset.groups
+    if not case_ids:
+        raise ValueError(f"{path}: dataset has no rows")
     if "" in groups:
         raise ValueError(f"{path}:{groups.index('') + 2}: empty group")
     ids = sorted(case_ids)
@@ -214,20 +237,31 @@ def _check_ids(path, case_ids: list, groups: list) -> None:
         first = case_ids.index(repeat)
         second = case_ids.index(repeat, first + 1)
         raise ValueError(f"{path}:{second + 2}: case_id {repeat!r} repeats line {first + 2}")
+    if "\r" in "".join(chain(case_ids, set(groups))):
+        row = next(i for i, fields in enumerate(zip(case_ids, groups)) if "\r" in "".join(fields))
+        raise ValueError(f"{path}:{row + 2}: carriage return in case_id or group")
+    if dataset.labels.min() < 0:
+        row = int(np.argmax(dataset.labels < 0))
+        raise ValueError(f"{path}:{row + 2}: negative label {dataset.labels[row]}")
+    finite = np.isfinite(dataset.features).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"{path}:{int(np.argmin(finite)) + 2}: non-finite feature value")
+
+
+def _chunks(path):
+    """The bytes of the file at ``path``, 1 MiB at a time."""
+    with open(path, "rb") as fh:
+        yield from iter(lambda: fh.read(1 << 20), b"")
 
 
 def _max_rows(path) -> int:
     """A bound on the rows of a CSV file: ``csv`` ends a row only at a
     ``\\n`` or ``\\r``, so a file has at most one row more than such bytes."""
-    with open(path, "rb") as fh:
-        return 1 + sum(chunk.count(b"\n") + chunk.count(b"\r") for chunk in iter(lambda: fh.read(1 << 20), b""))
+    return 1 + sum(chunk.count(b"\n") + chunk.count(b"\r") for chunk in _chunks(path))
 
 
-def read_csv(path) -> Dataset:
-    """Parse a dataset written by :func:`write_csv`, validating the header
-    and rejecting unparseable or non-finite values, empty groups, case ids
-    or groups holding ``\\r``, and empty or repeated case ids; errors name
-    the line.
+def _parse_csv(path) -> Dataset:
+    """The rows of ``path``, once its header and every value parse.
 
     Rows are parsed a block at a time straight into the dataset's numpy
     arrays, allocated once for the most rows the file can hold (memory
@@ -258,16 +292,113 @@ def read_csv(path) -> Dataset:
             case_ids.extend(map(itemgetter(0), block))
             block_groups = list(map(itemgetter(1), block))
             groups.extend(map(names.setdefault, block_groups, block_groups))
-    if not case_ids:
-        raise ValueError(f"{path}: dataset has no rows")
-    _check_ids(path, case_ids, groups)
-    labels, features = labels[: len(case_ids)], features[: len(case_ids)]
-    if labels.min() < 0:
-        raise ValueError(f"{path}: labels must be non-negative")
-    finite = np.isfinite(features).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"{path}:{int(np.argmin(finite)) + 2}: non-finite feature value")
-    return Dataset(features, labels, groups, case_ids)
+    return Dataset(features[: len(case_ids)], labels[: len(case_ids)], groups, case_ids)
+
+
+def twin_path(path) -> Path:
+    """Where the binary twin of the dataset CSV at ``path`` is kept: beside
+    it, with the suffix ``.bin``."""
+    return Path(path).with_suffix(".bin")
+
+
+def _file_sha256(path) -> bytes:
+    """The SHA-256 of the bytes of the file at ``path``."""
+    digest = hashlib.sha256()
+    for chunk in _chunks(path):
+        digest.update(chunk)
+    return digest.digest()
+
+
+def write_twin(dataset: Dataset, csv_path) -> None:
+    """Write the binary twin of ``csv_path``, the file :func:`write_csv`
+    wrote from ``dataset``, to :func:`twin_path`; a dataset with a case id
+    holding ``\\n`` gets none.  Case ids and groups are strings.
+
+    Layout: ``TWIN_MAGIC``, the SHA-256 of the CSV's bytes, the SHA-256 of
+    the payload, then the payload: a ``<Q`` meta length, the JSON meta
+    (rows, features, group names in first-seen order, byte length of the
+    ids), labels as ``<i8``, features as row-major ``<f8``, each row's
+    group as a ``<u4`` index into the names, and the case ids as UTF-8
+    joined by ``\\n``.  The bytes are a function of the dataset alone.  The
+    file is replaced whole, never left half-written.
+    """
+    n, d = dataset.features.shape
+    ids = "\n".join(dataset.case_ids)
+    if ids.count("\n") != n - 1:
+        return
+    ids = ids.encode()
+    index = {name: code for code, name in enumerate(dict.fromkeys(dataset.groups))}
+    meta = {"features": d, "groups": list(index), "ids_bytes": len(ids), "rows": n}
+    meta = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
+    payload = [
+        struct.pack("<Q", len(meta)),
+        meta,
+        np.ascontiguousarray(dataset.labels, dtype="<i8"),
+        np.ascontiguousarray(dataset.features, dtype="<f8"),
+        np.fromiter(map(index.__getitem__, dataset.groups), "<u4", n),
+        ids,
+    ]
+    digest = hashlib.sha256()
+    for part in payload:
+        digest.update(part)
+    with atomic_write(twin_path(csv_path), "wb") as fh:
+        fh.write(TWIN_MAGIC + _file_sha256(csv_path) + digest.digest())
+        for part in payload:
+            fh.write(part)
+
+
+def _read_twin(path):
+    """The dataset held by the binary twin of the CSV at ``path``; None if
+    the twin is missing, short or corrupt, or stands for other bytes than
+    ``path`` holds: it is used only if its magic matches, its first digest
+    is the SHA-256 of ``path``'s bytes and its second that of the payload
+    read.  Each array is read straight into its final buffer, and each
+    group name is kept as one string.
+    """
+    try:
+        with open(twin_path(path), "rb") as fh:
+            head = fh.read(TWIN_HEAD)
+            if head[:8] != TWIN_MAGIC or head[8:40] != _file_sha256(path):
+                return None
+            size, meta_len = os.fstat(fh.fileno()).st_size, int.from_bytes(head[72:], "little")
+            meta_text = fh.read(min(meta_len, size))
+            meta = json.loads(meta_text)
+            n, d, ids_len = sizes = meta["rows"], meta["features"], meta["ids_bytes"]
+            if not all(type(v) is int and v >= 0 for v in sizes):
+                return None
+            if TWIN_HEAD + meta_len + n * (12 + 8 * d) + ids_len != size:  # also bounds what is allocated
+                return None
+            columns = np.empty(n, "<i8"), np.empty((n, d), "<f8"), np.empty(n, "<u4"), bytearray(ids_len)
+            digest = hashlib.sha256(head[72:] + meta_text)
+            for column in columns:
+                fh.readinto(column)
+                digest.update(column)
+        if digest.digest() != head[40:72]:
+            return None
+        labels, features, codes, ids = columns
+        case_ids = ids.decode().split("\n")
+        names = meta["groups"]
+        groups = [names[code] for code in codes.tolist()]
+    except (OSError, ValueError, KeyError, TypeError, IndexError):  # JSON and UTF-8 errors are ValueErrors
+        return None
+    return Dataset(features, labels, groups, case_ids) if len(case_ids) == n else None
+
+
+def read_csv(path) -> Dataset:
+    """The dataset in the CSV at ``path``, written by :func:`write_csv`.
+
+    When ``path``'s binary twin (:func:`write_twin`) matches its bytes,
+    the arrays are loaded from the twin; otherwise the CSV is parsed, its
+    header validated and every unparseable value rejected.  Either way,
+    empty groups, case ids or groups holding ``\\r``, empty or repeated
+    case ids, negative labels and non-finite features are rejected; errors
+    name the file and line.
+    """
+    dataset = _read_twin(path)
+    if dataset is None:
+        dataset = _parse_csv(path)
+    _check_columns(path, dataset)
+    return dataset
 
 
 def kfold_indices(n: int, folds: int, seed: int) -> list:

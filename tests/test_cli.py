@@ -42,11 +42,13 @@ PINNED_REPORT_DIGESTS = {
 }
 
 # SHA-256 of BASE_CONFIG's artifacts in TestTrain.test_artifact_bytes_are_pinned,
-# recorded before CSV rows were joined as text instead of written by csv.writer.
+# recorded before CSV rows were joined as text instead of written by csv.writer
+# (the binary twin, dataset.bin, when it was added).
 # The training digests hold where numpy's float arithmetic gives the same bits
 # (recorded with numpy 2.4.6 and OpenBLAS on x86-64).
 PINNED_ARTIFACT_DIGESTS = {
     "dataset.csv": "b4b2e22e3ff4fe401e50f3fb4ab69a6548c620ca972497367798526a69fbfac5",
+    "dataset.bin": "3bf1656480a2984efe68c3e3398faf2f5a52842bb6c23edfc2b1a05e88833139",
     "dro/seed_0/scores.csv": "4003a25182e0234cc904756714a93948a9720be44a7e2b814d92322de313efe1",
     "dro/seed_0/fold_0.ckpt": "5fedde5297ef8666d7b27195c16371a03989a570461217cda0ad89bb451255be",
 }
@@ -92,7 +94,9 @@ class TestGenerate:
     def test_deterministic_bytes(self, tmp_path):
         a = _run_pipeline(tmp_path, "a", arms=())
         b = _run_pipeline(tmp_path, "b", arms=())
-        assert (a / "dataset.csv").read_bytes() == (b / "dataset.csv").read_bytes()
+        assert sorted(p.name for p in a.iterdir()) == ["dataset.bin", "dataset.csv"]
+        for name in ("dataset.csv", "dataset.bin"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_directory_at_dataset_path_rejected_before_drawing(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "o"
@@ -102,6 +106,16 @@ class TestGenerate:
         assert main(["generate", "--config", str(config)]) == 2
         assert f"cannot write {out / 'dataset.csv'}: it is a directory" in capsys.readouterr().err
         assert not any((out / "dataset.csv").iterdir())
+
+    def test_directory_at_twin_path_rejected_before_drawing(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "o"
+        config = _write_config(tmp_path, out)
+        (out / "dataset.bin").mkdir(parents=True)
+        monkeypatch.setattr(datasets, "generate", lambda *a: pytest.fail("data drawn"))
+        assert main(["generate", "--config", str(config)]) == 2
+        assert f"cannot write {out / 'dataset.bin'}: it is a directory" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["dataset.bin"]
+        assert not any((out / "dataset.bin").iterdir())
 
     def test_unknown_data_field(self, tmp_path, capsys):
         config = _write_config(tmp_path, tmp_path / "o", data={"n_samples": 60, "sigma": 2})
@@ -566,6 +580,42 @@ class TestTrain:
         out = _run_pipeline(tmp_path, "run", arms=("dro",))
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in PINNED_ARTIFACT_DIGESTS}
         assert digests == PINNED_ARTIFACT_DIGESTS
+
+    @pytest.mark.parametrize("damage", ["deleted", "corrupt"])
+    def test_twin_changes_no_artifact(self, tmp_path, monkeypatch, damage):
+        """Both arms, with a test_dataset that also has a twin, write the
+        same bytes whether the twins are read or the CSVs parsed; a damaged
+        twin is parsed around, never an internal error."""
+
+        def generate(name):
+            """(run directory, its twins and its test_dataset's, config)."""
+            held_out = tmp_path / f"held_out_{name}"
+            held_out_config = _write_config(tmp_path, held_out, data=dict(BASE_CONFIG["data"], seed=9))
+            assert main(["generate", "--config", str(held_out_config)]) == 0
+            out = tmp_path / name
+            config = _write_config(tmp_path, out, test_dataset=str(held_out / "dataset.csv"))
+            assert main(["generate", "--config", str(config)]) == 0
+            return out, [out / "dataset.bin", held_out / "dataset.bin"], config
+
+        def train(out, config) -> dict:
+            for arm in ("erm", "dro"):
+                assert main(["train", "--config", str(config), "--arm", arm]) == 0
+            return {p.relative_to(out).as_posix(): p.read_bytes() for p in out.glob("*/seed_0/*")}
+
+        out, _, config = generate("twin")
+        with monkeypatch.context() as m:
+            m.setattr(datasets, "_parse_csv", lambda path: pytest.fail(f"{path} parsed"))
+            with_twins = train(out, config)
+        out, twins, config = generate(damage)
+        for twin in twins:
+            if damage == "deleted":
+                twin.unlink()
+            else:
+                raw = bytearray(twin.read_bytes())
+                raw[-3] ^= 1
+                twin.write_bytes(bytes(raw))
+        assert len(with_twins) == 2 * (BASE_CONFIG["train"]["erm"]["folds"] + 2)
+        assert train(out, config) == with_twins
 
     def test_test_dataset_scored_by_ensemble(self, tmp_path):
         held_out = datasets.generate(datasets.SyntheticConfig(n_samples=25, n_features=4, n_classes=3), seed=9)

@@ -1,6 +1,7 @@
 """Verification tests for the stratified generator, CSV round-trip, and folds."""
 
 import math
+import os
 import re
 import tracemalloc
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from oracles import write_csv_rows
 
+from drotrain import datasets
 from drotrain._files import BLOCK_ROWS
 from drotrain.datasets import (
     MAJORITY,
@@ -17,12 +19,20 @@ from drotrain.datasets import (
     generate,
     kfold_indices,
     read_csv,
+    twin_path,
     write_csv,
+    write_twin,
 )
 
 # Floats whose text form is easy to get wrong: a signed zero, the smallest
 # subnormal, exponent forms on both sides, and a sum that is not 0.3.
 ADVERSARIAL_FEATURES = [-0.0, 5e-324, 1e16, 1e-05, 0.1 + 0.2]
+
+# Parts of a dataset's binary twin, in file order.
+TWIN_SECTIONS = [
+    "magic", "csv-digest", "payload-digest", "meta-length", "meta-length-top",
+    "meta", "labels", "features", "codes", "ids", "last",
+]
 
 # Central 99% interval for Binomial(2000, 0.05), from the exact quantile
 # function (ppf at 0.005 and 0.995): [76, 126].
@@ -336,6 +346,12 @@ class TestCsvParseErrors:
         with pytest.raises(ValueError, match=_at(path, BLOCK_ROWS + 4) + "non-finite feature value$"):
             read_csv(path)
 
+    def test_negative_label_names_line(self, tmp_path):
+        path = tmp_path / "neg.csv"
+        path.write_text("case_id,group,label,f0\na,majority,0,1.0\nb,majority,-1,2.0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=_at(path, 3) + "negative label -1$"):
+            read_csv(path)
+
 
 class TestCarriageReturns:
     """A case id or group holding ``\\r`` is rejected naming its line: csv on
@@ -405,6 +421,169 @@ class TestCsvRowBound:
         finally:
             tracemalloc.stop()
         assert len(back) == 20_000
+        assert peak - held < 1 << 20
+
+
+def _one_feature_dataset():
+    features = np.array([[0.5], [-0.0], [5e-324]])
+    return Dataset(features, np.array([1, 0, 1], dtype=np.int64), [MAJORITY] * 3, ["a", "b", "c"])
+
+
+def _minority_of_one():
+    ds = generate(SyntheticConfig(n_samples=300, n_features=4, n_classes=3), 7)
+    ds.groups = [MAJORITY] * len(ds)
+    ds.groups[123] = MINORITY
+    return ds
+
+
+def _twin_and_parse(path):
+    """The dataset read from ``path``'s twin, and from parsing ``path``."""
+    twin = datasets._read_twin(path)
+    assert twin is not None
+    return twin, datasets._parse_csv(path)
+
+
+def _assert_same(a, b):
+    """Equal datasets, bit for bit, sharing one string per group name."""
+    assert a.features.shape == b.features.shape
+    assert a.features.tobytes() == b.features.tobytes()
+    assert a.labels.dtype == b.labels.dtype and a.labels.tobytes() == b.labels.tobytes()
+    assert a.case_ids == b.case_ids and a.groups == b.groups
+    assert len({id(g) for g in a.groups}) == len(set(a.groups))
+
+
+class TestBinaryTwin:
+    """The twin that ``generate`` writes beside ``dataset.csv`` reads as the
+    CSV parses, and is ignored unless it stands for the CSV's bytes."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        """A written dataset CSV with its twin."""
+        path = tmp_path / "ds.csv"
+        ds = generate(SyntheticConfig(n_samples=2 * BLOCK_ROWS + 5, n_features=5, n_classes=3), 4)
+        write_csv(ds, path)
+        write_twin(ds, path)
+        return path
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: generate(SyntheticConfig(n_samples=1, n_features=2, n_classes=2), 0),
+            lambda: generate(SyntheticConfig(n_samples=3, n_features=2, n_classes=2), 1),
+            _one_feature_dataset,
+            lambda: generate(SyntheticConfig(n_samples=500, n_features=12, n_classes=12), 2),
+            _minority_of_one,
+            lambda: generate(SyntheticConfig(n_samples=BLOCK_ROWS + 1, noise_minority=0.5), 3),
+            _adversarial_dataset,
+        ],
+        ids=["n1", "n3", "one-feature", "many-classes", "minority-of-one", "noisy", "quoted-fields"],
+    )
+    def test_twin_reads_as_the_csv_parses(self, tmp_path, make):
+        ds = make()
+        path = tmp_path / "ds.csv"
+        write_csv(ds, path)
+        write_twin(ds, path)
+        twin, parsed = _twin_and_parse(path)
+        _assert_same(twin, parsed)
+        assert twin.features.tobytes() == ds.features.tobytes()
+        _assert_same(read_csv(path), parsed)
+
+    def test_twin_sits_beside_the_csv(self, path):
+        assert twin_path(path) == path.parent / "ds.bin"
+        assert twin_path(path).read_bytes()[:8] == datasets.TWIN_MAGIC
+
+    def test_no_twin_for_a_case_id_holding_newline(self, tmp_path):
+        ds = generate(SyntheticConfig(n_samples=5, n_features=2, n_classes=2), 3)
+        ds.case_ids[2] = "a\nb"
+        path = tmp_path / "ds.csv"
+        write_csv(ds, path)
+        write_twin(ds, path)
+        assert not twin_path(path).exists()
+        assert read_csv(path).case_ids == ds.case_ids
+
+    def test_shared_checks_run_on_the_twin(self, tmp_path):
+        """A twin's columns face the checks a parse does, naming the CSV's line."""
+        ds = generate(SyntheticConfig(n_samples=20, n_features=2, n_classes=2), 3)
+        ds.labels[6] = -2
+        path = tmp_path / "neg.csv"
+        write_csv(ds, path)
+        write_twin(ds, path)
+        assert datasets._read_twin(path) is not None
+        with pytest.raises(ValueError, match=_at(path, 8) + "negative label -2$"):
+            read_csv(path)
+
+    @pytest.mark.parametrize("mtime", [True, False], ids=["mtime-kept", "mtime-new"])
+    def test_csv_edited_to_the_same_length(self, path, mtime):
+        """Size and mtime can match another file's (``cp -p``); the content
+        digest cannot, so the edited CSV is parsed."""
+        stat = path.stat()
+        lines = path.read_text(encoding="utf-8").splitlines()
+        cells = lines[BLOCK_ROWS + 4].split(",")
+        cells[4] = cells[4][:-1] + str((int(cells[4][-1]) + 1) % 10)  # a repr ends in a digit
+        lines[BLOCK_ROWS + 4] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        if mtime:
+            os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert path.stat().st_size == stat.st_size
+        assert datasets._read_twin(path) is None
+        back = read_csv(path)
+        assert back.features[BLOCK_ROWS + 3, 1] == float(cells[4])
+        _assert_same(back, datasets._parse_csv(path))
+        _corrupt(path, BLOCK_ROWS + 5, 5, "x" * len(lines[BLOCK_ROWS + 4].split(",")[5]))
+        assert path.stat().st_size == stat.st_size
+        with pytest.raises(ValueError, match=_at(path, BLOCK_ROWS + 5) + "unparseable feature f2 'x+'$"):
+            read_csv(path)
+
+    @staticmethod
+    def _offset(path, section: str) -> int:
+        """Where ``section`` of ``path``'s twin starts; meta-length-top is
+        the meta length's highest byte."""
+        raw = twin_path(path).read_bytes()
+        n, d = 2 * BLOCK_ROWS + 5, 5
+        labels = datasets.TWIN_HEAD + int.from_bytes(raw[72:80], "little")
+        codes = labels + 8 * n + 8 * n * d
+        return {
+            "magic": 0, "csv-digest": 8, "payload-digest": 40, "meta-length": 72, "meta-length-top": 79,
+            "meta": 80, "labels": labels, "features": labels + 8 * n, "codes": codes, "ids": codes + 4 * n,
+            "last": len(raw) - 1,
+        }[section]
+
+    @pytest.mark.parametrize("section", TWIN_SECTIONS)
+    def test_flipped_byte_ignored(self, path, section):
+        raw = bytearray(twin_path(path).read_bytes())
+        raw[self._offset(path, section)] ^= 0x10
+        twin_path(path).write_bytes(bytes(raw))
+        assert datasets._read_twin(path) is None
+        _assert_same(read_csv(path), datasets._parse_csv(path))
+
+    @pytest.mark.parametrize("section", TWIN_SECTIONS)
+    def test_truncated_twin_ignored(self, path, section):
+        """The twin cut just before ``section`` starts."""
+        raw = twin_path(path).read_bytes()
+        twin_path(path).write_bytes(raw[: self._offset(path, section)])
+        assert datasets._read_twin(path) is None
+        _assert_same(read_csv(path), datasets._parse_csv(path))
+
+    def test_twin_not_a_file_ignored(self, path):
+        twin_path(path).unlink()
+        twin_path(path).mkdir()
+        assert datasets._read_twin(path) is None
+        _assert_same(read_csv(path), datasets._parse_csv(path))
+
+    def test_read_holds_little_beyond_the_dataset(self, tmp_path):
+        """Reading a 20k-row twin traces under 1 MiB more than the arrays
+        and ids it returns: each column is read into its final buffer."""
+        path = tmp_path / "ds.csv"
+        ds = generate(SyntheticConfig(n_samples=20_000, n_features=8, n_classes=3), 2)
+        write_csv(ds, path)
+        write_twin(ds, path)
+        tracemalloc.start()
+        try:
+            back = datasets._read_twin(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert back is not None and len(back) == 20_000
         assert peak - held < 1 << 20
 
 
