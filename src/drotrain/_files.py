@@ -1,4 +1,5 @@
-"""File helpers: whole-file replacement, and block-wise CSV reading and writing.
+"""File helpers: whole-file replacement, block-wise CSV reading and writing,
+and the search for a repeated key that both CSV readers make.
 
 CSV rows are written as text built here, not field by field through
 ``csv.writer``: each number is its ``repr``, which is what ``csv`` writes
@@ -15,6 +16,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import itertools
+import operator
 import os
 import re
 from pathlib import Path
@@ -59,6 +61,37 @@ def blocks(rows, start: int):
     while block := list(itertools.islice(rows, BLOCK_ROWS)):
         yield start, block
         start += len(block)
+
+
+def _repeats(keys) -> bool:
+    """Whether any of ``keys`` repeats, decided on a sorted copy of them.
+
+    A sorted copy costs a list where a set would cost a hash table several
+    times its size, and it takes linear time when the keys arrive sorted,
+    as generated ids do.  Keys that cannot be ordered, such as a mix of
+    ``str`` and ``int`` ids, are put in a set instead.
+    """
+    try:
+        ordered = sorted(keys)
+    except TypeError:
+        return len(set(keys)) != len(keys)
+    return any(map(operator.eq, ordered, itertools.islice(ordered, 1, None)))
+
+
+def first_repeat(keys):
+    """``(i, j)``: ``keys[i]`` is the first key, in order, that appeared
+    before, first as ``keys[j]``; ``None`` if no key repeats.  The keys are
+    walked in order, to find the first repeat, only once :func:`_repeats`
+    has found that there is one, so a file without repeats costs no more
+    than its sorted copy."""
+    if not _repeats(keys):
+        return None
+    first: dict = {}
+    for i, key in enumerate(keys):
+        if key in first:
+            return i, first[key]
+        first[key] = i
+    raise AssertionError("a repeated key was not found")
 
 
 def _joined(block):

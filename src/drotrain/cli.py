@@ -7,6 +7,10 @@ reproducible from the config alone.  Exit codes: 0 success, 2 usage or
 validation error, 1 internal error.  The environment variable DRO_SEED,
 when set, replaces the config's seeds so smoke runs can redirect an
 experiment without editing files.
+
+The training stack (``datasets``, ``training``, ``sampler``, ``mlp``) is
+imported inside the commands that use it, so ``report`` starts without
+loading it and ``generate`` loads ``datasets`` alone.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import sys
 import typing
 from pathlib import Path
 
-from . import datasets, scores, training
+from . import scores
 from ._files import atomic_write
 from .metrics import (
     compare_reports,
@@ -29,8 +33,6 @@ from .metrics import (
     render_json,
     render_text,
 )
-from .sampler import SamplerConfig
-from .training import TrainConfig, cross_validate
 
 __all__ = ["main"]
 
@@ -111,6 +113,8 @@ def _build(cls, block, context: str, **fixed):
 
 def _data_config(doc: dict) -> tuple:
     """(SyntheticConfig, generation seed) from the config's data block."""
+    from . import datasets
+
     block = doc.get("data")
     if not isinstance(block, dict):
         raise UsageError("config needs a 'data' object")
@@ -144,7 +148,11 @@ def _seeds(doc: dict) -> list:
     return seeds
 
 
-def _arm_config(doc: dict, arm: str, seed: int) -> TrainConfig:
+def _arm_config(doc: dict, arm: str, seed: int):
+    """The arm's TrainConfig for one seed, from the config's train block."""
+    from .sampler import SamplerConfig
+    from .training import TrainConfig
+
     train_block = doc.get("train")
     if not isinstance(train_block, dict) or not isinstance(train_block.get(arm), dict):
         raise UsageError(f"config needs a train.{arm} object")
@@ -195,6 +203,8 @@ def _out_dir(args, doc: dict) -> Path:
 
 
 def cmd_generate(args) -> int:
+    from . import datasets
+
     doc = _load_config(args.config)
     config, seed = _data_config(doc)
     env = _env_seed()
@@ -212,6 +222,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from . import datasets, training
+
     doc = _load_config(args.config)
     hidden = _hidden_dims(doc)
     configs = [_arm_config(doc, args.arm, seed) for seed in _seeds(doc)]
@@ -250,7 +262,7 @@ def cmd_train(args) -> int:
 
     for config, run_dir in zip(configs, run_dirs):
         try:
-            result = cross_validate(dataset, hidden, config)
+            result = training.cross_validate(dataset, hidden, config)
         except training.TrainingDiverged as exc:
             folds = ("fold " if len(exc.models) == 1 else "folds ") + ", ".join(map(str, exc.models))
             raise UsageError(
@@ -285,6 +297,7 @@ def cmd_report(args) -> int:
         files["comparison.json"] = render_comparison_json(comparison)
     if args.out:
         out = _make_dir(args.out)
+        _check_targets(files=[out / name for name in files])
         for name, content in files.items():
             with atomic_write(out / name, "w", encoding="utf-8") as fh:
                 fh.write(content)

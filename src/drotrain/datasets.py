@@ -23,13 +23,13 @@ import os
 import struct
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
-from ._files import atomic_write, blocks, write_rows
+from ._files import atomic_write, blocks, first_repeat, write_rows
 
 __all__ = [
     "SyntheticConfig",
@@ -220,23 +220,20 @@ def _check_columns(path, dataset: Dataset) -> None:
     """The checks both read paths share, on the dataset read from ``path``:
     at least one row, no empty group, no empty or repeated case id, no
     ``\\r`` in a case id or group, no negative label and no non-finite
-    feature.  The error names the first faulty line, and both lines of a
-    repeat.  Repeats are found in a sorted copy of the ids, which costs
-    less memory than a set of them; the lines are looked up only on failure.
+    feature.  The error names the first faulty line, and both lines of the
+    first repeat in row order (found by :func:`_files.first_repeat`).
     """
     case_ids, groups = dataset.case_ids, dataset.groups
     if not case_ids:
         raise ValueError(f"{path}: dataset has no rows")
     if "" in groups:
         raise ValueError(f"{path}:{groups.index('') + 2}: empty group")
-    ids = sorted(case_ids)
-    if ids[0] == "":
+    if "" in case_ids:
         raise ValueError(f"{path}:{case_ids.index('') + 2}: empty case_id")
-    repeat = next((a for a, b in zip(ids, islice(ids, 1, None)) if a == b), None)
+    repeat = first_repeat(case_ids)
     if repeat is not None:
-        first = case_ids.index(repeat)
-        second = case_ids.index(repeat, first + 1)
-        raise ValueError(f"{path}:{second + 2}: case_id {repeat!r} repeats line {first + 2}")
+        i, j = repeat
+        raise ValueError(f"{path}:{i + 2}: case_id {case_ids[i]!r} repeats line {j + 2}")
     if "\r" in "".join(chain(case_ids, set(groups))):
         row = next(i for i, fields in enumerate(zip(case_ids, groups)) if "\r" in "".join(fields))
         raise ValueError(f"{path}:{row + 2}: carriage return in case_id or group")

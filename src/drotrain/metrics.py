@@ -14,13 +14,14 @@ so reports are stable under re-runs but follow the data, not the alphabet.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import empirical_percentile
+from .objectives import nearest_rank
 from .scores import ScoreTable
 
 __all__ = [
@@ -83,7 +84,12 @@ class ReportComparison:
 
 
 def _stratum(scores: np.ndarray) -> StratumStats:
-    stats = {name: 100.0 * empirical_percentile(scores, a) for name, a in PERCENTILE_ALPHAS.items()}
+    """The stats of one stratum's scores, in row order; one sort serves
+    every percentile."""
+    ordered = np.sort(scores)
+    stats = {
+        name: 100.0 * float(ordered[nearest_rank(scores.size, a) - 1]) for name, a in PERCENTILE_ALPHAS.items()
+    }
     return StratumStats(
         count=scores.size,
         mean=100.0 * float(scores.mean()),
@@ -92,31 +98,45 @@ def _stratum(scores: np.ndarray) -> StratumStats:
     )
 
 
+def _codes(column) -> tuple:
+    """``(codes, names)``: the column's distinct values in order of first
+    appearance, and each entry's index among them as an intp array."""
+    index = dict.fromkeys(column)
+    if len(index) == 1:
+        return np.zeros(len(column), np.intp), list(index)
+    for code, name in enumerate(index):
+        index[name] = code
+    return np.fromiter(map(index.__getitem__, column), np.intp, len(column)), list(index)
+
+
 def percentile_report(table: ScoreTable) -> PercentileReport:
     """Summarize every (group, region) stratum observed in the table.
 
-    Each stratum's scores are gathered by row index from the score column,
-    in row order.
+    The rows are grouped into strata by one stable sort of their (group,
+    region) codes, so each stratum's scores are gathered in row order.  A
+    group's case count is its stratum's size when it has one region, as
+    (case_id, region) pairs are unique; else its distinct case ids.
     """
     if len(table) == 0:
         raise ValueError("cannot report on an empty score table")
-    strata: dict = {}
-    for i, key in enumerate(zip(table.groups, table.regions)):
-        strata.setdefault(key, []).append(i)
-    regions_of: dict = {}
-    for g, r in strata:
-        regions_of.setdefault(g, []).append(r)
-    case_ids = table.case_ids
-    return PercentileReport(
-        [
-            GroupBlock(
-                g,
-                len({case_ids[i] for r in regions for i in strata[(g, r)]}),
-                [(r, _stratum(table.scores[strata[(g, r)]])) for r in regions],
-            )
-            for g, regions in regions_of.items()
-        ]
-    )
+    groups, group_names = _codes(table.groups)
+    regions, region_names = _codes(table.regions)
+    keys = groups * len(region_names) + regions
+    order = np.argsort(keys, kind="stable")
+    strata = np.split(order, np.flatnonzero(np.diff(keys[order])) + 1)
+    # Groups in order of first appearance, and each group's regions in
+    # order of their first row in it.
+    strata.sort(key=lambda rows: (groups[rows[0]], rows[0]))
+    blocks = []
+    for g, group_strata in itertools.groupby(strata, key=lambda rows: groups[rows[0]]):
+        group_strata = list(group_strata)
+        if len(group_strata) == 1:
+            cases = group_strata[0].size
+        else:
+            cases = len(set(map(table.case_ids.__getitem__, np.concatenate(group_strata).tolist())))
+        stats = [(region_names[regions[rows[0]]], _stratum(table.scores[rows])) for rows in group_strata]
+        blocks.append(GroupBlock(group_names[g], cases, stats))
+    return PercentileReport(blocks)
 
 
 def compare_reports(a: PercentileReport, b: PercentileReport) -> ReportComparison:

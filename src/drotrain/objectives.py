@@ -22,6 +22,7 @@ __all__ = [
     "RobustConfig",
     "as_loss_vector",
     "as_weight_vector",
+    "nearest_rank",
     "empirical_percentile",
     "lse_robust_loss",
     "chernoff_percentile_bound",
@@ -82,8 +83,14 @@ def as_weight_vector(values, n: int | None = None) -> np.ndarray:
     return arr
 
 
+def nearest_rank(n: int, alpha: float) -> int:
+    """The rank of the nearest-rank percentile at level ``alpha`` of ``n``
+    scores: it is the k-th smallest, k = max(1, ceil(alpha * n))."""
+    return max(1, math.ceil(alpha * n))
+
+
 def empirical_percentile(scores, alpha: float) -> float:
-    """Nearest-rank percentile: the k-th smallest score, k = max(1, ceil(alpha*n)).
+    """Nearest-rank percentile: the :func:`nearest_rank`-th smallest score.
 
     For ``alpha = 0.05`` this is the value below which 5% of the scores fall.
     """
@@ -94,8 +101,7 @@ def empirical_percentile(scores, alpha: float) -> float:
         raise ValueError("scores must be finite")
     if not (0.0 < alpha <= 1.0):
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    k = max(1, math.ceil(alpha * arr.size))
-    return float(np.sort(arr)[k - 1])
+    return float(np.sort(arr)[nearest_rank(arr.size, alpha) - 1])
 
 
 def lse_robust_loss(losses, beta: float) -> float:

@@ -10,13 +10,11 @@ a block of rows at a time.
 from __future__ import annotations
 
 import csv
-import operator
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
-from ._files import blocks, write_rows
+from ._files import blocks, first_repeat, write_rows
 
 __all__ = ["ScoreRow", "ScoreTable", "load_scores", "write_scores"]
 
@@ -31,36 +29,12 @@ class ScoreRow:
     score: float
 
 
-def _repeats(keys) -> bool:
-    """Whether any of ``keys`` repeats, decided on a sorted copy of them.
-
-    A sorted copy costs a list where a set would cost a hash table several
-    times its size, and it takes linear time when the keys arrive sorted,
-    as generated ids do.  Keys that cannot be ordered, such as a mix of
-    ``str`` and ``int`` ids, are put in a set instead.
-    """
-    try:
-        ordered = sorted(keys)
-    except TypeError:
-        return len(set(keys)) != len(keys)
-    return any(map(operator.eq, ordered, islice(ordered, 1, None)))
-
-
 def _first_repeat(case_ids, regions):
     """``(i, j)``: row ``i`` is the first whose (case_id, region) pair
     already appeared, first at row ``j``; ``None`` if every pair is unique.
     With a single region the case ids alone are the keys, and no pair
-    tuples are built.  The rows are walked in order, to find the first
-    repeat, only once :func:`_repeats` has found that there is one."""
-    keys = case_ids if len(set(regions)) <= 1 else list(zip(case_ids, regions))
-    if not _repeats(keys):
-        return None
-    first: dict = {}
-    for i, key in enumerate(keys):
-        if key in first:
-            return i, first[key]
-        first[key] = i
-    raise AssertionError("a repeated pair was not found")
+    tuples are built."""
+    return first_repeat(case_ids if len(set(regions)) <= 1 else list(zip(case_ids, regions)))
 
 
 def _checked_scores(case_ids, groups, regions, scores) -> np.ndarray:

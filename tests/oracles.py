@@ -6,8 +6,9 @@ finds maximizers by exhaustive grid search, the percentile oracle is a
 plain sort-and-index over Python lists, the dataset subset gathers its
 rows one by one, the CSV writers format one row at a time with an
 explicit ``repr`` per float, the checkpoint writer encodes the whole meta
-with one ``json.dumps``, and the first repeated pair is found by one walk
-over a dict of pairs.
+with one ``json.dumps``, the first repeated pair is found by one walk
+over a dict of pairs, and the percentile report gathers each stratum's
+rows by a walk over a dict of row lists.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 
 from drotrain.datasets import Dataset
+from drotrain.metrics import GroupBlock, PercentileReport, StratumStats
 from drotrain.training import config_digest
 
 
@@ -162,3 +164,40 @@ def first_repeat_walk(case_ids, regions):
             return i, first[pair]
         first[pair] = i
     return None
+
+
+# The report's percentile columns, spelled out apart from the library's.
+PERCENTILES = {"p50": 0.50, "p25": 0.25, "p10": 0.10, "p5": 0.05}
+
+
+def percentile_report_walk(table) -> PercentileReport:
+    """The percentile report built row by row: each (group, region)
+    stratum's row numbers collected in a dict, in row order, a group's
+    cases counted as a set of its case ids, and each percentile taken by
+    :func:`percentile_sort_oracle`."""
+    strata: dict = {}
+    for i, key in enumerate(zip(table.groups, table.regions)):
+        strata.setdefault(key, []).append(i)
+    regions_of: dict = {}
+    for g, r in strata:
+        regions_of.setdefault(g, []).append(r)
+
+    def stats(rows):
+        scores = table.scores[rows]
+        return StratumStats(
+            count=len(rows),
+            mean=100.0 * float(scores.mean()),
+            std=100.0 * float(scores.std(ddof=0)),
+            **{name: 100.0 * percentile_sort_oracle(scores, a) for name, a in PERCENTILES.items()},
+        )
+
+    return PercentileReport(
+        [
+            GroupBlock(
+                g,
+                len({table.case_ids[i] for r in regions for i in strata[(g, r)]}),
+                [(r, stats(strata[(g, r)])) for r in regions],
+            )
+            for g, regions in regions_of.items()
+        ]
+    )

@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -441,7 +445,7 @@ class TestTrain:
         else:
             path.mkdir(parents=True)
             message = f"cannot write {path}: it is a directory"
-        monkeypatch.setattr(cli, "cross_validate", lambda *a: pytest.fail("a seed trained"))
+        monkeypatch.setattr(training, "cross_validate", lambda *a: pytest.fail("a seed trained"))
         assert main(["train", "--config", str(config), "--arm", arm]) == 2
         assert message in capsys.readouterr().err
         assert _scores_written(out) == []
@@ -715,6 +719,15 @@ class TestReport:
         assert f"cannot use {taken} as the output directory" in capsys.readouterr().err
         assert taken.read_text(encoding="utf-8") == "not a directory\n"
 
+    @pytest.mark.parametrize("taken", ["report.json", "comparison.txt"])
+    def test_directory_at_an_out_file_exit_2_writing_nothing(self, tmp_path, capsys, taken):
+        path = self._scores_path(tmp_path)
+        report_dir = tmp_path / "report"
+        (report_dir / taken).mkdir(parents=True)
+        assert main(["report", str(path), "--baseline", str(path), "--out", str(report_dir)]) == 2
+        assert f"cannot write {report_dir / taken}: it is a directory" in capsys.readouterr().err
+        assert [p.name for p in report_dir.iterdir()] == [taken]
+
     def test_malformed_scores_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("case_id,group,region,score\nc0,g,r,2.0\n", encoding="utf-8")
@@ -731,3 +744,25 @@ class TestReport:
         b.write_text("case_id,group,region,score\nc0,g2,r,0.5\n", encoding="utf-8")
         assert main(["report", str(a), "--baseline", str(b)]) == 2
         assert "strata" in capsys.readouterr().err
+
+
+# The modules that only generate and train use.
+TRAINING_STACK = ["drotrain.datasets", "drotrain.mlp", "drotrain.sampler", "drotrain.training"]
+
+
+@pytest.mark.parametrize(
+    "command, loaded",
+    [("", []), ("generate", ["drotrain.datasets"])],
+    ids=["import", "generate"],
+)
+def test_training_stack_loaded_only_by_the_commands_that_run_it(tmp_path, command, loaded):
+    """A fresh interpreter that imports the CLI, and one that runs
+    ``generate`` too, loads none of the training stack but what it uses."""
+    config = _write_config(tmp_path, tmp_path / "run")
+    run = f"drotrain.cli.main({['generate', '--config', str(config)]!r}); " if command else ""
+    code = f"import sys, drotrain.cli; {run}print(sorted(m for m in {TRAINING_STACK!r} if m in sys.modules))"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, encoding="utf-8")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == repr(loaded)

@@ -352,6 +352,18 @@ class TestCsvParseErrors:
         with pytest.raises(ValueError, match=_at(path, 3) + "negative label -1$"):
             read_csv(path)
 
+    @pytest.mark.parametrize("twin", [False, True], ids=["parsed", "twin"])
+    def test_first_repeat_in_row_order_named(self, tmp_path, twin):
+        """Of the repeated ids z and a, z repeats first, though a sorts first."""
+        ds = Dataset(np.zeros((4, 1)), np.zeros(4, dtype=np.int64), [MAJORITY] * 4, ["z", "z", "a", "a"])
+        path = tmp_path / "dup.csv"
+        write_csv(ds, path)
+        if twin:
+            write_twin(ds, path)
+            assert datasets._read_twin(path) is not None
+        with pytest.raises(ValueError, match=_at(path, 3) + "case_id 'z' repeats line 2$"):
+            read_csv(path)
+
 
 class TestCarriageReturns:
     """A case id or group holding ``\\r`` is rejected naming its line: csv on

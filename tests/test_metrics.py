@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drotrain.metrics import (
     CELL_NAMES,
@@ -17,7 +19,7 @@ from drotrain.metrics import (
     render_value,
 )
 from drotrain.scores import ScoreRow, ScoreTable, load_scores, write_scores
-from oracles import percentile_sort_oracle
+from oracles import percentile_report_walk, percentile_sort_oracle
 
 
 def _table(rows):
@@ -149,6 +151,54 @@ class TestPercentileReport:
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError):
             percentile_report(ScoreTable([]))
+
+
+def _assert_same_report(table):
+    """The report equals the row-by-row walk's, down to every bit."""
+    report, walked = percentile_report(table), percentile_report_walk(table)
+    assert report == walked
+    assert render_json(report) == render_json(walked)
+
+
+class TestReportMatchesWalk:
+    def test_mixed_strata(self):
+        """Several groups; one group's regions first seen in another order
+        than the table's; a case id in two regions; a one-row stratum."""
+        _assert_same_report(
+            _table(
+                [
+                    ("c0", "b", "r1", 0.25),
+                    ("c1", "a", "r2", 0.5),
+                    ("c1", "a", "r1", 0.125),
+                    ("c2", "b", "r1", 0.75),
+                    ("c3", "a", "r2", 0.375),
+                    ("c3", "c", "r3", 1.0),
+                    ("c4", "a", "r1", 0.0),
+                    ("c0", "b", "r2", 0.875),
+                ]
+            )
+        )
+
+    def test_large_random_table(self):
+        rng = np.random.default_rng(20)
+        _assert_same_report(_random_table(rng, 700, groups=("majority", "minority", "rare"), regions=("a", "b", "c")))
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 6),
+                st.sampled_from(["g0", "g1", "g2"]),
+                st.sampled_from(["overall", "r1", "r2"]),
+                st.floats(0.0, 1.0),
+            ),
+            min_size=1,
+            max_size=40,
+            unique_by=lambda row: (row[0], row[2]),
+        )
+    )
+    def test_matches_the_walk(self, rows):
+        _assert_same_report(_table([(f"c{i}", g, r, score) for i, g, r, score in rows]))
 
 
 class TestCompareReports:
