@@ -9,23 +9,26 @@ would quote (or refuse) goes through ``csv.writer`` instead, so the bytes
 are ``csv``'s on every Python version without restating its quoting rules,
 which differ between versions (3.13 quotes a field holding ``\\r``, 3.10
 to 3.12 leave it bare; 3.10 refuses a NUL).
+
+Numpy is not imported here, as ``report`` loads this module: a numpy
+column is recognised by its ``dtype``.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import itertools
 import operator
 import os
 import re
+from array import array
 from pathlib import Path
-
-import numpy as np
 
 # Rows parsed (or written) per block.  Small enough that a block's strings
 # stay a minor share of memory at any file size, large enough that the
-# per-block numpy calls cost little next to the parsing.
+# per-block calls cost little next to the parsing.
 BLOCK_ROWS = 256
 
 # Characters that make ``csv`` quote a field (or refuse it) on some version.
@@ -49,6 +52,31 @@ def atomic_write(path, mode: str, **kwargs):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _utf8_fault(path) -> str:
+    """The error for the file at ``path`` that is not UTF-8 text, naming
+    the line of its first bad byte.  Lines are decoded one at a time, which
+    is decoding the whole file: no UTF-8 sequence holds a ``\\n`` byte."""
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                return f"{path}:{lineno}: not UTF-8 text"
+    return f"{path}: not UTF-8 text"
+
+
+@contextlib.contextmanager
+def open_csv(path):
+    """``path`` opened as UTF-8 text for ``csv``; a byte that is not UTF-8,
+    met anywhere in the ``with`` block, raises a ``ValueError`` naming the
+    file and the line of the first bad byte."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        raise ValueError(_utf8_fault(path)) from None
 
 
 def blocks(rows, start: int):
@@ -94,24 +122,33 @@ def first_repeat(keys):
     raise AssertionError("a repeated key was not found")
 
 
+def _numbers(column) -> bool:
+    """Whether ``column`` is a column of numbers whose ``tolist`` gives the
+    Python ints and floats ``csv`` writes by ``repr``: an f64 ``array``, or
+    a numpy column of bools, ints or floats at most 8 bytes wide (a
+    longdouble stays a numpy scalar, whose repr is not what ``csv``
+    writes)."""
+    if isinstance(column, array):
+        return column.typecode == "d"
+    dtype = getattr(column, "dtype", None)
+    return dtype is not None and dtype.kind in "biuf" and dtype.itemsize <= 8
+
+
 def _joined(block):
     """The text of a block of aligned columns, one ``\\n``-ended line per
     row; ``None`` if ``csv.writer`` must write it.
 
-    A numpy column of bools, ints or floats at most 8 bytes wide, which
-    ``tolist`` makes Python values, is written by ``repr`` (a longdouble
-    stays a numpy scalar, whose repr is not what ``csv`` writes).  Any other
-    column must hold only strings, none with a character in
-    ``_CSV_SPECIAL`` and, in a one-column table, none empty (``csv`` writes
-    a lone empty field as ``""``).
+    A column of :func:`_numbers` is written by ``repr``.  Any other column
+    must hold only strings, none with a character in ``_CSV_SPECIAL`` and,
+    in a one-column table, none empty (``csv`` writes a lone empty field as
+    ``""``).
     """
     fields = []
     for column in block:
-        if isinstance(column, np.ndarray):
-            if column.dtype.kind in "biuf" and column.dtype.itemsize <= 8:
-                fields.append(list(map(repr, column.tolist())))
-                continue
-            column = column.tolist()
+        if _numbers(column):
+            fields.append(list(map(repr, column.tolist())))
+            continue
+        column = _values(column)
         try:
             if _CSV_SPECIAL.search("".join(column)) or (len(block) == 1 and "" in column):
                 return None
@@ -121,23 +158,40 @@ def _joined(block):
     return "\n".join(map(",".join, zip(*fields))) + "\n"
 
 
-def write_rows(path, header, columns) -> None:
+def _values(column):
+    """A column's values as Python objects: a numpy column's ``tolist``."""
+    return column.tolist() if hasattr(column, "dtype") else column
+
+
+def write_rows(path, header, columns, digest=None) -> None:
     """Write ``header``, then the rows of the aligned ``columns``, a block of
     ``BLOCK_ROWS`` rows at a time, with the bytes ``csv.writer`` would write.
 
     Each block is built as text by :func:`_joined` and written at once; a
     block it declines (a field to quote, or one that is not a string or a
-    plain number) goes through ``csv.writer``.  Numbers are written by repr
-    either way, so floats read back bit-exact.  The file is replaced whole,
-    never left half-written.
+    plain number) is written by ``csv.writer`` into a buffer first.
+    Numbers are written by repr either way, so floats read back bit-exact.
+    ``digest``, a hash object, is fed every byte written.  The file is
+    replaced whole, never left half-written.
     """
-    with atomic_write(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer, lineterminator="\n")
+
+    def by_csv(rows) -> str:
+        buffer.seek(0)
+        buffer.truncate()
+        writer.writerows(rows)
+        return buffer.getvalue()
+
+    with atomic_write(path, "wb") as fh:
+
+        def write(text: str) -> None:
+            data = text.encode()
+            fh.write(data)
+            if digest is not None:
+                digest.update(data)
+
+        write(by_csv([header]))
         for s in range(0, len(columns[0]), BLOCK_ROWS):
             block = [c[s : s + BLOCK_ROWS] for c in columns]
-            text = _joined(block)
-            if text is None:
-                writer.writerows(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in block)))
-            else:
-                fh.write(text)
+            write(_joined(block) or by_csv(zip(*map(_values, block))))

@@ -214,8 +214,7 @@ def cmd_generate(args) -> int:
     path = out / DATASET_FILENAME
     _check_targets(files=[path, datasets.twin_path(path)])
     dataset = datasets.generate(config, seed)
-    datasets.write_csv(dataset, path)
-    datasets.write_twin(dataset, path)
+    datasets.write_twin(dataset, path, datasets.write_csv(dataset, path))
     prevalence = " ".join(f"{g}={frac:.3f}" for g, frac in dataset.prevalence().items())
     print(f"wrote {path}: n={len(dataset)} {prevalence}")
     return 0

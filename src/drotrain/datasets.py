@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._files import atomic_write, blocks, first_repeat, write_rows
+from ._files import atomic_write, blocks, first_repeat, open_csv, write_rows
 
 __all__ = [
     "SyntheticConfig",
@@ -172,13 +172,16 @@ def generate(config: SyntheticConfig, seed: int) -> Dataset:
     )
 
 
-def write_csv(dataset: Dataset, path) -> None:
+def write_csv(dataset: Dataset, path) -> bytes:
     """Write ``case_id,group,label,f0..f{d-1}`` rows; floats are written by
     repr, so the round-trip through :func:`read_csv` is bit-exact.  The file
-    is replaced whole, never left half-written."""
+    is replaced whole, never left half-written.  Returns the SHA-256 of the
+    bytes written, for :func:`write_twin`."""
     d = dataset.features.shape[1]
     header = ["case_id", "group", "label"] + [f"f{j}" for j in range(d)]
-    write_rows(path, header, [dataset.case_ids, dataset.groups, dataset.labels, *dataset.features.T])
+    digest = hashlib.sha256()
+    write_rows(path, header, [dataset.case_ids, dataset.groups, dataset.labels, *dataset.features.T], digest)
+    return digest.digest()
 
 
 def _parse_block(block, width: int, labels: np.ndarray, features: np.ndarray) -> None:
@@ -267,7 +270,7 @@ def _parse_csv(path) -> Dataset:
     value or per group field outlives its block.
     """
     bound = _max_rows(path)
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_csv(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -306,10 +309,12 @@ def _file_sha256(path) -> bytes:
     return digest.digest()
 
 
-def write_twin(dataset: Dataset, csv_path) -> None:
+def write_twin(dataset: Dataset, csv_path, csv_sha256: bytes | None = None) -> None:
     """Write the binary twin of ``csv_path``, the file :func:`write_csv`
     wrote from ``dataset``, to :func:`twin_path`; a dataset with a case id
     holding ``\\n`` gets none.  Case ids and groups are strings.
+    ``csv_sha256`` is the digest :func:`write_csv` returned; without it the
+    CSV is read back to hash it.
 
     Layout: ``TWIN_MAGIC``, the SHA-256 of the CSV's bytes, the SHA-256 of
     the payload, then the payload: a ``<Q`` meta length, the JSON meta
@@ -339,7 +344,7 @@ def write_twin(dataset: Dataset, csv_path) -> None:
     for part in payload:
         digest.update(part)
     with atomic_write(twin_path(csv_path), "wb") as fh:
-        fh.write(TWIN_MAGIC + _file_sha256(csv_path) + digest.digest())
+        fh.write(TWIN_MAGIC + (csv_sha256 or _file_sha256(csv_path)) + digest.digest())
         for part in payload:
             fh.write(part)
 

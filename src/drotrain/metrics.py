@@ -10,18 +10,28 @@ Statistics are computed on raw scores in [0, 1], carried at full precision
 in percent scale, and rounded (half away from zero, one decimal) only when
 rendered.  Group and region ordering follows first encounter in the input
 so reports are stable under re-runs but follow the data, not the alphabet.
+
+Everything here is plain Python, so ``report`` runs without numpy, yet the
+mean and std are numpy's to the bit: ``np.mean`` and ``np.std`` of a
+contiguous f64 array sum by numpy's pairwise order, restated by
+:func:`_pairwise`.  The sum starts from ``0.0`` and adds ``pw(a)``,
+where for ``n`` values ``pw`` adds them left to right from ``0.0`` when
+``n < 8``; keeps 8 lane sums when ``8 <= n <= 128`` (lane ``j`` adds
+``a[j], a[j+8], ...`` up to the last multiple of 8), combines them as
+``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` and adds the rest left to right;
+and is ``pw(a[:n2]) + pw(a[n2:])`` when ``n > 128``, ``n2`` being ``n//2``
+rounded down to a multiple of 8.  The mean is that sum over ``n``; the
+population std is the square root of the same sum of ``(v-mean)*(v-mean)``
+over ``n``.  Built-in ``sum`` (compensated from Python 3.12 on) and
+``math.fsum`` would round differently.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .objectives import nearest_rank
 from .scores import ScoreTable
 
 __all__ = [
@@ -30,6 +40,7 @@ __all__ = [
     "GroupBlock",
     "PercentileReport",
     "ReportComparison",
+    "nearest_rank",
     "percentile_report",
     "compare_reports",
     "render_value",
@@ -43,6 +54,11 @@ __all__ = [
 CELL_NAMES = ("mean", "std", "p50", "p25", "p10", "p5")
 
 PERCENTILE_ALPHAS = {"p50": 0.50, "p25": 0.25, "p10": 0.10, "p5": 0.05}
+
+# numpy's pairwise summation: values are summed in this many lanes, within
+# blocks of at most PAIRWISE_BLOCK values.
+LANES = 8
+PAIRWISE_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -83,59 +99,105 @@ class ReportComparison:
     groups: list
 
 
-def _stratum(scores: np.ndarray) -> StratumStats:
-    """The stats of one stratum's scores, in row order; one sort serves
-    every percentile."""
-    ordered = np.sort(scores)
-    stats = {
-        name: 100.0 * float(ordered[nearest_rank(scores.size, a) - 1]) for name, a in PERCENTILE_ALPHAS.items()
-    }
+def nearest_rank(n: int, alpha: float) -> int:
+    """The rank of the nearest-rank percentile at level ``alpha`` of ``n``
+    scores: it is the k-th smallest, k = max(1, ceil(alpha * n))."""
+    return max(1, math.ceil(alpha * n))
+
+
+def _pairwise(values: list, start: int, n: int) -> float:
+    """numpy's pairwise sum ``pw`` of the ``n`` values from ``start`` (see
+    the module docstring); the 8 lane sums of a block are kept in
+    locals and advanced a row of 8 values at a time."""
+    if n < LANES:
+        total = 0.0
+        for v in values[start : start + n]:
+            total += v
+        return total
+    if n <= PAIRWISE_BLOCK:
+        end = start + n - n % LANES
+        rows = zip(*[iter(values[start:end])] * LANES)
+        r0, r1, r2, r3, r4, r5, r6, r7 = next(rows)
+        for a0, a1, a2, a3, a4, a5, a6, a7 in rows:
+            r0 += a0
+            r1 += a1
+            r2 += a2
+            r3 += a3
+            r4 += a4
+            r5 += a5
+            r6 += a6
+            r7 += a7
+        total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for v in values[end : start + n]:
+            total += v
+        return total
+    half = n // 2 - n // 2 % LANES
+    return _pairwise(values, start, half) + _pairwise(values, start + half, n - half)
+
+
+def _sum(values: list) -> float:
+    """``np.add.reduce`` of the f64 ``values``, bit for bit: ``0.0`` plus
+    their pairwise sum."""
+    return 0.0 + _pairwise(values, 0, len(values))
+
+
+def _stratum(scores: list) -> StratumStats:
+    """The stats of one stratum's scores, given in row order as a list
+    that is sorted in place once the mean and std are taken; one sort
+    serves every percentile."""
+    n = len(scores)
+    mean = _sum(scores) / n
+    std = math.sqrt(_sum([(d := v - mean) * d for v in scores]) / n)
+    scores.sort()
     return StratumStats(
-        count=scores.size,
-        mean=100.0 * float(scores.mean()),
-        std=100.0 * float(scores.std(ddof=0)),
-        **stats,
+        count=n,
+        mean=100.0 * mean,
+        std=100.0 * std,
+        **{name: 100.0 * scores[nearest_rank(n, a) - 1] for name, a in PERCENTILE_ALPHAS.items()},
     )
 
 
-def _codes(column) -> tuple:
-    """``(codes, names)``: the column's distinct values in order of first
-    appearance, and each entry's index among them as an intp array."""
-    index = dict.fromkeys(column)
-    if len(index) == 1:
-        return np.zeros(len(column), np.intp), list(index)
-    for code, name in enumerate(index):
-        index[name] = code
-    return np.fromiter(map(index.__getitem__, column), np.intp, len(column)), list(index)
+def _split(keys, values) -> dict:
+    """``key -> [values]``: the ``values`` of each distinct key, in row
+    order, with the keys in order of first appearance."""
+    out: dict = {}
+    for key, value in zip(keys, values):
+        if key in out:
+            out[key].append(value)
+        else:
+            out[key] = [value]
+    return out
 
 
 def percentile_report(table: ScoreTable) -> PercentileReport:
     """Summarize every (group, region) stratum observed in the table.
 
-    The rows are grouped into strata by one stable sort of their (group,
-    region) codes, so each stratum's scores are gathered in row order.  A
-    group's case count is its stratum's size when it has one region, as
-    (case_id, region) pairs are unique; else its distinct case ids.
+    The rows are split into strata in one pass, so each stratum's scores
+    are gathered in row order.  Groups come in order of first appearance,
+    and each group's regions in order of their first row in it.  A group's
+    case count is its stratum's size when it has one region, as (case_id,
+    region) pairs are unique; else its distinct case ids.
     """
     if len(table) == 0:
         raise ValueError("cannot report on an empty score table")
-    groups, group_names = _codes(table.groups)
-    regions, region_names = _codes(table.regions)
-    keys = groups * len(region_names) + regions
-    order = np.argsort(keys, kind="stable")
-    strata = np.split(order, np.flatnonzero(np.diff(keys[order])) + 1)
-    # Groups in order of first appearance, and each group's regions in
-    # order of their first row in it.
-    strata.sort(key=lambda rows: (groups[rows[0]], rows[0]))
+    regions = table.regions
+    if regions.count(regions[0]) == len(regions):
+        strata = {(g, regions[0]): s for g, s in _split(table.groups, table.scores).items()}
+    else:
+        strata = _split(zip(table.groups, regions), table.scores)
+    by_group: dict = {}
+    for (g, region), values in strata.items():
+        by_group.setdefault(g, []).append((region, values))
+    ids_of = None
     blocks = []
-    for g, group_strata in itertools.groupby(strata, key=lambda rows: groups[rows[0]]):
-        group_strata = list(group_strata)
+    for g, group_strata in by_group.items():
         if len(group_strata) == 1:
-            cases = group_strata[0].size
+            cases = len(group_strata[0][1])
         else:
-            cases = len(set(map(table.case_ids.__getitem__, np.concatenate(group_strata).tolist())))
-        stats = [(region_names[regions[rows[0]]], _stratum(table.scores[rows])) for rows in group_strata]
-        blocks.append(GroupBlock(group_names[g], cases, stats))
+            if ids_of is None:
+                ids_of = _split(table.groups, table.case_ids)
+            cases = len(set(ids_of[g]))
+        blocks.append(GroupBlock(g, cases, [(region, _stratum(values)) for region, values in group_strata]))
     return PercentileReport(blocks)
 
 

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .metrics import nearest_rank
+
 __all__ = [
     "RobustConfig",
     "as_loss_vector",
@@ -81,12 +83,6 @@ def as_weight_vector(values, n: int | None = None) -> np.ndarray:
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise ValueError(f"weight vector sums to {total!r}, not 1")
     return arr
-
-
-def nearest_rank(n: int, alpha: float) -> int:
-    """The rank of the nearest-rank percentile at level ``alpha`` of ``n``
-    scores: it is the k-th smallest, k = max(1, ceil(alpha * n))."""
-    return max(1, math.ceil(alpha * n))
 
 
 def empirical_percentile(scores, alpha: float) -> float:

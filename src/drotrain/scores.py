@@ -3,22 +3,25 @@
 A score is a quality value in [0, 1] (higher is better), one row per case
 and region.  Parsing is strict: malformed rows, out-of-range scores, and
 duplicate (case, region) pairs are rejected with the offending line number.
-Tables hold columns, not one object per row, and files are read and written
-a block of rows at a time.
+Tables hold columns, not one object per row: the scores are an f64
+``array``, so reading a table and reporting on it need no numpy.  Files are
+read and written a block of rows at a time.
 """
 
 from __future__ import annotations
 
 import csv
+import math
+from array import array
 from dataclasses import dataclass
 
-import numpy as np
-
-from ._files import blocks, first_repeat, write_rows
+from ._files import blocks, first_repeat, open_csv, write_rows
 
 __all__ = ["ScoreRow", "ScoreTable", "load_scores", "write_scores"]
 
 HEADER = ["case_id", "group", "region", "score"]
+
+ALIGNED = "case_ids, groups, regions and scores must be aligned 1-d columns"
 
 
 @dataclass(frozen=True)
@@ -37,29 +40,57 @@ def _first_repeat(case_ids, regions):
     return first_repeat(case_ids if len(set(regions)) <= 1 else list(zip(case_ids, regions)))
 
 
-def _checked_scores(case_ids, groups, regions, scores) -> np.ndarray:
-    """``scores`` as an f64 array, once the columns pass the table's checks.
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number: a Python int, float or bool, or a
+    numpy scalar of a bool, integer or float kind."""
+    kind = getattr(getattr(value, "dtype", None), "kind", None)
+    return isinstance(value, (int, float)) or kind in ("b", "i", "u", "f")
+
+
+def _f64_column(scores) -> tuple:
+    """``(column, first)``: ``scores`` as an f64 ``array`` and the index of
+    its first score outside [0, 1] (``None`` if there is none).
+
+    A numpy column, recognised by its ``dtype``, is copied through its
+    buffer and range-checked with its own operators; any other sequence is
+    converted value by value.  Scores must be real numbers: a string such
+    as ``'0.5'`` is rejected, not converted.
+    """
+    dtype = getattr(scores, "dtype", None)
+    column = array("d")
+    if dtype is not None:
+        if dtype.kind not in "biuf":
+            raise TypeError(f"scores must be real numbers, got an array of {dtype}")
+        if scores.ndim != 1:
+            raise ValueError(ALIGNED)
+        values = scores.astype("=f8", order="C", copy=False)
+        column.frombytes(memoryview(values).cast("B"))
+        outside = (~((values >= 0.0) & (values <= 1.0))).nonzero()[0]
+        return column, int(outside[0]) if len(outside) else None
+    for value in scores:
+        if not _is_real(value):
+            raise TypeError(f"scores must be real numbers, got {type(value).__name__} {value!r}")
+    column.extend(scores)
+    return column, next((i for i, v in enumerate(column) if not 0.0 <= v <= 1.0), None)
+
+
+def _checked_scores(case_ids, groups, regions, scores) -> array:
+    """``scores`` as an f64 ``array``, once the columns pass the table's
+    checks.
 
     The first faulty row in row order is reported, as a row-by-row pass
-    that checks each row's score before its pair would report it.  Scores
-    must be real numbers: a string such as ``'0.5'`` is rejected, not
-    converted.
+    that checks each row's score before its pair would report it.
     """
-    values = np.asarray(scores)
-    if values.dtype.kind not in "biuf":
-        raise TypeError(f"scores must be real numbers, got an array of {values.dtype}")
-    scores = values.astype(float, copy=False)
-    if not len(case_ids) == len(groups) == len(regions) == scores.size or scores.ndim != 1:
-        raise ValueError("case_ids, groups, regions and scores must be aligned 1-d columns")
-    outside = np.flatnonzero(~((scores >= 0.0) & (scores <= 1.0)))
+    column, outside = _f64_column(scores)
+    if not len(case_ids) == len(groups) == len(regions) == len(column):
+        raise ValueError(ALIGNED)
     repeat = _first_repeat(case_ids, regions)
-    if outside.size and (repeat is None or outside[0] <= repeat[0]):
-        i = int(outside[0])
-        raise ValueError(f"row {i}: score {float(scores[i])} outside [0, 1]")
+    if outside is not None and (repeat is None or outside <= repeat[0]):
+        raise ValueError(f"row {outside}: score {column[outside]} outside [0, 1]")
     if repeat is not None:
         i = repeat[0]
         raise ValueError(f"row {i}: duplicate (case_id, region) pair {(case_ids[i], regions[i])}")
-    return scores
+    return column
 
 
 class ScoreTable:
@@ -82,7 +113,7 @@ class ScoreTable:
         return cls._of_checked(case_ids, groups, regions, _checked_scores(case_ids, groups, regions, scores))
 
     @classmethod
-    def _of_checked(cls, case_ids: list, groups: list, regions: list, scores: np.ndarray) -> "ScoreTable":
+    def _of_checked(cls, case_ids: list, groups: list, regions: list, scores: array) -> "ScoreTable":
         """A table of columns that have passed the checks already."""
         table = cls.__new__(cls)
         table.case_ids, table.groups, table.regions, table.scores = case_ids, groups, regions, scores
@@ -93,7 +124,7 @@ class ScoreTable:
         return list(self)
 
     def __len__(self) -> int:
-        return self.scores.size
+        return len(self.scores)
 
     def __iter__(self):
         return map(ScoreRow, self.case_ids, self.groups, self.regions, self.scores.tolist())
@@ -141,8 +172,8 @@ def _parse_block(block) -> tuple:
         raise ValueError("empty case_id or group")
     if "\r" in "".join(case_ids + groups + regions):
         raise ValueError("carriage return in case_id, group or region")
-    scores = np.fromiter(map(float, texts), float, len(texts))
-    if not ((scores >= 0.0) & (scores <= 1.0)).all():
+    scores = array("d", map(float, texts))
+    if not (0.0 <= min(scores) and max(scores) <= 1.0) or any(map(math.isnan, scores)):
         raise ValueError("score outside [0, 1]")
     return case_ids, groups, regions, scores
 
@@ -158,8 +189,8 @@ def load_scores(path) -> ScoreTable:
     the rows before its fault).
     """
     names: dict = {}
-    case_ids, groups, regions, scores = [], [], [], []
-    with open(path, newline="", encoding="utf-8") as fh:
+    case_ids, groups, regions, scores = [], [], [], array("d")
+    with open_csv(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != HEADER:
@@ -175,11 +206,11 @@ def load_scores(path) -> ScoreTable:
             case_ids.extend(ids)
             groups.extend(map(names.setdefault, block_groups, block_groups))
             regions.extend(map(names.setdefault, block_regions, block_regions))
-            scores.append(block_scores)
+            scores.extend(block_scores)
     if not case_ids:
         raise ValueError(f"{path}: score file has no data rows")
     _check_pairs(path, case_ids, regions)
-    return ScoreTable._of_checked(case_ids, groups, regions, np.concatenate(scores))
+    return ScoreTable._of_checked(case_ids, groups, regions, scores)
 
 
 def write_scores(table: ScoreTable, path) -> None:

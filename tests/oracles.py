@@ -183,7 +183,7 @@ def percentile_report_walk(table) -> PercentileReport:
         regions_of.setdefault(g, []).append(r)
 
     def stats(rows):
-        scores = table.scores[rows]
+        scores = np.asarray(table.scores)[rows]
         return StratumStats(
             count=len(rows),
             mean=100.0 * float(scores.mean()),

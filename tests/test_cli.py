@@ -380,6 +380,30 @@ class TestTrain:
         assert f"{out / 'dataset.csv'}:4: carriage return in case_id or group" in capsys.readouterr().err
         assert not (out / "dro").exists()
 
+    def test_non_utf8_dataset_rejected_naming_the_line(self, tmp_path, capsys):
+        """Without its twin, a ``dataset.csv`` with a byte that is not UTF-8
+        on line 4 exits 2 naming the file and line."""
+        out = tmp_path / "o"
+        config = _write_config(tmp_path, out)
+        assert main(["generate", "--config", str(config)]) == 0
+        (out / "dataset.bin").unlink()
+        lines = (out / "dataset.csv").read_bytes().split(b"\n")
+        lines[3] = lines[3].replace(b"majority", b"major\xffity").replace(b"minority", b"minor\xffity")
+        (out / "dataset.csv").write_bytes(b"\n".join(lines))
+        assert main(["train", "--config", str(config), "--arm", "erm"]) == 2
+        assert capsys.readouterr().err == f"error: {out / 'dataset.csv'}:4: not UTF-8 text\n"
+        assert not (out / "erm").exists()
+
+    def test_non_utf8_test_dataset_rejected_naming_the_line(self, tmp_path, capsys):
+        held_out_path = tmp_path / "held_out.csv"
+        held_out_path.write_bytes(b"case_id,group,label,f0,f1,f2,f3\nc\xe9,majority,0,0.0,0.0,0.0,0.0\n")
+        out = tmp_path / "run"
+        config = _write_config(tmp_path, out, test_dataset=str(held_out_path))
+        assert main(["generate", "--config", str(config)]) == 0
+        assert main(["train", "--config", str(config), "--arm", "erm"]) == 2
+        assert capsys.readouterr().err == f"error: test_dataset: {held_out_path}:2: not UTF-8 text\n"
+        assert not (out / "erm").exists()
+
     def test_carriage_return_in_test_dataset_rejected_before_training(self, tmp_path, capsys):
         held_out_path = tmp_path / "held_out.csv"
         held_out_path.write_bytes(b'case_id,group,label,f0,f1,f2,f3\n"a\rb",majority,0,0.0,0.0,0.0,0.0\n')
@@ -734,6 +758,16 @@ class TestReport:
         assert main(["report", str(path)]) == 2
         assert ":2:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [None, "--baseline"])
+    def test_non_utf8_scores_exit_2_naming_the_line(self, tmp_path, capsys, flag):
+        good = tmp_path / "good.csv"
+        good.write_text("case_id,group,region,score\nc0,g,r,0.5\nc1,g,r,0.25\n", encoding="utf-8")
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"case_id,group,region,score\nc0,g,r,0.5\nc1,g\xff,r,0.25\n")
+        argv = ["report", str(good), "--baseline", str(bad)] if flag else ["report", str(bad)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {bad}:3: not UTF-8 text\n"
+
     def test_missing_scores_exit_2(self, tmp_path):
         assert main(["report", str(tmp_path / "nope.csv")]) == 2
 
@@ -766,3 +800,22 @@ def test_training_stack_loaded_only_by_the_commands_that_run_it(tmp_path, comman
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, encoding="utf-8")
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == repr(loaded)
+
+
+def test_report_runs_without_numpy(tmp_path):
+    """A fresh interpreter that imports the CLI, then runs a whole
+    ``report`` with a baseline through ``main``, never loads numpy."""
+    path = tmp_path / "scores.csv"
+    path.write_text("case_id,group,region,score\nc0,g,r,0.5\nc1,h,r,0.25\n", encoding="utf-8")
+    report = ["report", str(path), "--baseline", str(path), "--format", "json", "--out", str(tmp_path / "r")]
+    code = (
+        "import sys, drotrain.cli; imported = 'numpy' in sys.modules; "
+        f"code = drotrain.cli.main({report!r}); "
+        "print(imported, code, 'numpy' in sys.modules)"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, encoding="utf-8")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False 0 False"
+    assert (tmp_path / "r" / "comparison.json").exists()

@@ -1,5 +1,6 @@
 """Verification tests for the stratified generator, CSV round-trip, and folds."""
 
+import hashlib
 import math
 import os
 import re
@@ -499,6 +500,24 @@ class TestBinaryTwin:
         _assert_same(twin, parsed)
         assert twin.features.tobytes() == ds.features.tobytes()
         _assert_same(read_csv(path), parsed)
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["joined-blocks", "csv-writer-block"])
+    def test_first_digest_is_the_csvs(self, tmp_path, quoted):
+        """The digest ``write_csv`` returns, which the twin stores first, is
+        the SHA-256 of the CSV's bytes, also with a block that ``csv.writer``
+        writes; the twin is the one a read-back digest gives."""
+        ds = generate(SyntheticConfig(n_samples=2 * BLOCK_ROWS + 5, n_features=3, n_classes=3), 5)
+        if quoted:
+            ds.case_ids[BLOCK_ROWS + 2] = 'id,"q"'
+        path = tmp_path / "ds.csv"
+        digest = write_csv(ds, path)
+        assert digest == hashlib.sha256(path.read_bytes()).digest()
+        write_twin(ds, path, digest)
+        twin = twin_path(path).read_bytes()
+        assert twin[8:40] == digest
+        write_twin(ds, path)
+        assert twin_path(path).read_bytes() == twin
+        assert datasets._read_twin(path) is not None
 
     def test_twin_sits_beside_the_csv(self, path):
         assert twin_path(path) == path.parent / "ds.bin"

@@ -2,6 +2,8 @@
 columns the score and dataset writers never pass."""
 
 import csv
+import hashlib
+from array import array
 
 import numpy as np
 import pytest
@@ -49,3 +51,20 @@ def test_nul_as_the_running_csv_writes_it(tmp_path):
     else:
         write_rows(tmp_path / "ours.csv", ["h0", "h1"], columns)
         assert (tmp_path / "ours.csv").read_bytes() == expected
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        [["a", "b", "c"], array("d", [0.5, -0.0, 5e-324])],
+        [["a", "b,c", "d"] * BLOCK_ROWS, np.arange(3 * BLOCK_ROWS)],
+    ],
+    ids=["joined", "csv-writer-blocks"],
+)
+def test_digest_is_fed_the_bytes_written(tmp_path, columns):
+    """A hash object passed in is fed exactly the file's bytes, and an f64
+    ``array`` column is written as csv writes its floats."""
+    digest = hashlib.sha256()
+    write_rows(tmp_path / "ours.csv", ["h0", "h1"], columns, digest)
+    assert digest.digest() == hashlib.sha256((tmp_path / "ours.csv").read_bytes()).digest()
+    assert (tmp_path / "ours.csv").read_bytes() == _csv_bytes(tmp_path / "csv.csv", ["h0", "h1"], columns)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drotrain import metrics
 from drotrain.metrics import (
     CELL_NAMES,
     compare_reports,
@@ -199,6 +200,57 @@ class TestReportMatchesWalk:
     )
     def test_matches_the_walk(self, rows):
         _assert_same_report(_table([(f"c{i}", g, r, score) for i, g, r, score in rows]))
+
+
+class TestNumpyStatistics:
+    """The plain-Python mean and std are numpy's, bit for bit: the report's
+    mean and std cells are ``100 * np.mean`` and ``100 * np.std``."""
+
+    @staticmethod
+    def _assert_numpy_stats(values: np.ndarray):
+        assert repr(metrics._sum(values.tolist())) == repr(float(np.add.reduce(values)))
+        n = values.size
+        table = ScoreTable.from_columns([f"c{i}" for i in range(n)], ["g"] * n, ["r"] * n, values)
+        ((_, stats),) = percentile_report(table).groups[0].regions
+        assert repr(stats.mean) == repr(100.0 * float(np.mean(values)))
+        assert repr(stats.std) == repr(100.0 * float(np.std(values)))
+
+    def test_uniform_scores_of_every_size_to_300(self):
+        for n in range(1, 301):
+            self._assert_numpy_stats(np.random.default_rng(n).random(n))
+
+    @pytest.mark.parametrize("n", [8191, 8192, 8193, 100_001])
+    def test_uniform_scores(self, n):
+        self._assert_numpy_stats(np.random.default_rng(n).random(n))
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 300, 8193])
+    def test_scores_spanning_decades(self, n):
+        rng = np.random.default_rng([n, 1])
+        self._assert_numpy_stats(rng.random(n) * 10.0 ** rng.integers(-300, 1, n))
+
+    @pytest.mark.parametrize("n", [1, 5, 8, 20, 129, 300, 8192])
+    @pytest.mark.parametrize("value", [-0.0, 0.0, 1.0])
+    def test_constant_scores(self, n, value):
+        """A stratum of ``-0.0`` only sums from ``+0.0``, as numpy's does."""
+        self._assert_numpy_stats(np.full(n, value))
+
+    @pytest.mark.parametrize("n", [9, 136, 8193])
+    def test_exact_zeros_and_ones_among_scores(self, n):
+        rng = np.random.default_rng([n, 2])
+        values = rng.random(n)
+        values[rng.random(n) < 0.3] = 0.0
+        values[rng.random(n) < 0.3] = 1.0
+        values[rng.random(n) < 0.1] = -0.0
+        self._assert_numpy_stats(values)
+
+    def test_left_to_right_sum_differs(self):
+        """Values spanning decades tell summation orders apart: adding them
+        left to right does not give numpy's sum."""
+        values = np.random.default_rng(5).random(1000) * 10.0 ** np.arange(-5, 5).repeat(100)
+        left_to_right = 0.0
+        for v in values.tolist():
+            left_to_right += v
+        assert left_to_right != metrics._sum(values.tolist()) == float(np.add.reduce(values))
 
 
 class TestCompareReports:

@@ -220,8 +220,27 @@ class TestScoreTableColumns:
         assert len(table) == 7
         assert table.rows == rows == list(table)
         assert table.case_ids == [r.case_id for r in rows]
-        assert table.scores.dtype == np.float64
+        assert table.scores.typecode == "d"
         assert table.scores.tolist() == [r.score for r in rows]
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.array([-0.0, 5e-324, 0.1 + 0.2, 1.0, 0.0, 0.9999999999999999, 1e-300]),
+            np.linspace(0.0, 1.0, 15)[::2],
+            np.array([0.1, 0.5, 1.0, 0.0, 0.3, 0.7, 0.9], dtype=">f8"),
+            np.array([0.1, 0.5, 1.0, 0.0, 0.3, 0.7, 0.9], dtype=np.float32),
+            np.array([True, False, True, True, False, False, True]),
+        ],
+        ids=["f64", "strided", "big-endian", "f32", "bool"],
+    )
+    def test_numpy_column_keeps_its_bits(self, values):
+        """A numpy column becomes the f64 column of its values, bit for bit."""
+        n = values.size
+        table = ScoreTable.from_columns([f"c{i}" for i in range(n)], ["g"] * n, ["r"] * n, values)
+        assert table.scores.typecode == "d"
+        assert table.scores.tobytes() == values.astype(float).tobytes()
+        assert np.asarray(table.scores).tobytes() == values.astype(float).tobytes()
 
     def test_column_and_row_tables_agree(self):
         rng = np.random.default_rng(3)
