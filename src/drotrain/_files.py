@@ -34,6 +34,10 @@ BLOCK_ROWS = 256
 # Characters that make ``csv`` quote a field (or refuse it) on some version.
 _CSV_SPECIAL = re.compile('[\0,"\r\n]')
 
+# What the ``surrogateescape`` error handler decodes a byte that is not
+# UTF-8 to; a UTF-8 decoder makes none of these of valid bytes.
+_ESCAPED = re.compile("[\udc80-\udcff]")
+
 
 @contextlib.contextmanager
 def atomic_write(path, mode: str, **kwargs):
@@ -54,29 +58,43 @@ def atomic_write(path, mode: str, **kwargs):
         raise
 
 
-def _utf8_fault(path) -> str:
-    """The error for the file at ``path`` that is not UTF-8 text, naming
-    the line of its first bad byte.  Lines are decoded one at a time, which
-    is decoding the whole file: no UTF-8 sequence holds a ``\\n`` byte."""
+def _first_bad_line(path):
+    """The line of the first byte of the file at ``path`` that is not
+    UTF-8; ``None`` if there is none.  Lines are decoded one at a time,
+    which is decoding the whole file: no UTF-8 sequence holds a ``\\n``
+    byte."""
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
                 line.decode("utf-8")
             except UnicodeDecodeError:
-                return f"{path}:{lineno}: not UTF-8 text"
-    return f"{path}: not UTF-8 text"
+                return lineno
+    return None
 
 
-@contextlib.contextmanager
-def open_csv(path):
-    """``path`` opened as UTF-8 text for ``csv``; a byte that is not UTF-8,
-    met anywhere in the ``with`` block, raises a ``ValueError`` naming the
-    file and the line of the first bad byte."""
+def read_rows(path, read):
+    """``read(rows, True)``, where ``rows`` is a ``csv.reader`` of the UTF-8
+    text file at ``path``.
+
+    A byte that is not UTF-8 stops that call.  ``read`` is then called on
+    the rows before the one holding the byte, with ``False``, so that a
+    fault it finds there is reported first; once it returns, a
+    ``ValueError`` names the file and the line of that byte.  Told that its
+    rows are not the whole file, ``read`` must not report what only a whole
+    file can show, such as a missing header or no data rows.
+    """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            yield fh
+            return read(csv.reader(fh), True)
     except UnicodeDecodeError:
-        raise ValueError(_utf8_fault(path)) from None
+        pass
+    lineno = _first_bad_line(path)
+    if lineno is None:  # the file changed while it was read
+        raise ValueError(f"{path}: not UTF-8 text")
+    # Rows before the first bad byte decode alike under any error handler.
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        read(itertools.takewhile(lambda row: not _ESCAPED.search("".join(row)), csv.reader(fh)), False)
+    raise ValueError(f"{path}:{lineno}: not UTF-8 text")
 
 
 def blocks(rows, start: int):

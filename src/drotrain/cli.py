@@ -234,11 +234,11 @@ def cmd_train(args) -> int:
         dataset = datasets.read_csv(dataset_path)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    for config in configs:
-        try:
-            dims = training.plan_folds(dataset, hidden, config)[0]  # keeps no splits alive
-        except ValueError as exc:
-            raise UsageError(f"train.{args.arm}: {exc}") from exc
+    # The seeds share every setting that can fail a plan, so one is checked.
+    try:
+        dims = training.plan_folds(dataset, hidden, configs[0])[0]  # keeps no splits alive
+    except ValueError as exc:
+        raise UsageError(f"train.{args.arm}: {exc}") from exc
 
     test_dataset = None
     if "test_dataset" in doc:
@@ -259,13 +259,15 @@ def cmd_train(args) -> int:
         ],
     )
 
+    # Each seed's files are written as its result arrives.
+    results = training.cross_validate_seeds(dataset, hidden, configs)
     for config, run_dir in zip(configs, run_dirs):
         try:
-            result = training.cross_validate(dataset, hidden, config)
+            result = next(results)
         except training.TrainingDiverged as exc:
             folds = ("fold " if len(exc.models) == 1 else "folds ") + ", ".join(map(str, exc.models))
             raise UsageError(
-                f"train.{args.arm}: seed {config.seed}, {folds}, epoch {exc.epoch}: training diverged "
+                f"train.{args.arm}: seed {exc.seed}, {folds}, epoch {exc.epoch}: training diverged "
                 f"({exc.reason}); lower learning_rate"
             ) from exc
         run_dir.mkdir(parents=True, exist_ok=True)

@@ -15,7 +15,6 @@ stays the dataset, and a CSV without a matching twin is parsed.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
@@ -29,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._files import atomic_write, blocks, first_repeat, open_csv, write_rows
+from ._files import atomic_write, blocks, first_repeat, read_rows, write_rows
 
 __all__ = [
     "SyntheticConfig",
@@ -267,31 +266,38 @@ def _parse_csv(path) -> Dataset:
     arrays, allocated once for the most rows the file can hold (memory
     never written is never resident) and cut to the rows read, and each
     distinct group name is kept as one string, so no Python object per
-    value or per group field outlives its block.
+    value or per group field outlives its block.  A line with a byte that
+    is not UTF-8 is reported once the lines before it have parsed.
     """
     bound = _max_rows(path)
-    with open_csv(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty dataset file")
-        if header[:3] != ["case_id", "group", "label"]:
-            raise ValueError(f"{path}: expected header case_id,group,label,f0..., got {header[:3]}")
-        d = len(header) - 3
-        if d < 1 or header[3:] != [f"f{j}" for j in range(d)]:
-            raise ValueError(f"{path}: malformed feature columns in header")
-        labels, features = np.empty(bound, dtype=np.int64), np.empty((bound, d))
-        names: dict = {}
-        case_ids, groups = [], []
-        for first, block in blocks(reader, start=2):
-            rows = slice(first - 2, first - 2 + len(block))
-            try:
-                _parse_block(block, len(header), labels[rows], features[rows])
-            except (ValueError, OverflowError):
-                raise ValueError(_first_fault(path, first, block, len(header))) from None
-            case_ids.extend(map(itemgetter(0), block))
-            block_groups = list(map(itemgetter(1), block))
-            groups.extend(map(names.setdefault, block_groups, block_groups))
+    return read_rows(path, lambda rows, whole: _parse_rows(path, rows, whole, bound))
+
+
+def _parse_rows(path, reader, whole: bool, bound: int) -> Dataset:
+    """The dataset of ``reader``'s rows, the lines of ``path`` (all of them
+    if ``whole``), which number at most ``bound``."""
+    header = next(reader, None)
+    if header is None:
+        if not whole:
+            return None
+        raise ValueError(f"{path}: empty dataset file")
+    if header[:3] != ["case_id", "group", "label"]:
+        raise ValueError(f"{path}: expected header case_id,group,label,f0..., got {header[:3]}")
+    d = len(header) - 3
+    if d < 1 or header[3:] != [f"f{j}" for j in range(d)]:
+        raise ValueError(f"{path}: malformed feature columns in header")
+    labels, features = np.empty(bound, dtype=np.int64), np.empty((bound, d))
+    names: dict = {}
+    case_ids, groups = [], []
+    for first, block in blocks(reader, start=2):
+        rows = slice(first - 2, first - 2 + len(block))
+        try:
+            _parse_block(block, len(header), labels[rows], features[rows])
+        except (ValueError, OverflowError):
+            raise ValueError(_first_fault(path, first, block, len(header))) from None
+        case_ids.extend(map(itemgetter(0), block))
+        block_groups = list(map(itemgetter(1), block))
+        groups.extend(map(names.setdefault, block_groups, block_groups))
     return Dataset(features[: len(case_ids)], labels[: len(case_ids)], groups, case_ids)
 
 

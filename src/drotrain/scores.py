@@ -10,12 +10,11 @@ read and written a block of rows at a time.
 
 from __future__ import annotations
 
-import csv
 import math
 from array import array
 from dataclasses import dataclass
 
-from ._files import blocks, first_repeat, open_csv, write_rows
+from ._files import blocks, first_repeat, read_rows, write_rows
 
 __all__ = ["ScoreRow", "ScoreTable", "load_scores", "write_scores"]
 
@@ -184,30 +183,37 @@ def load_scores(path) -> ScoreTable:
     A case id, group or region holding ``\\r`` is rejected: ``csv`` on
     Python 3.10 to 3.12 writes such a field unquoted, and that file does
     not read back.  Of several faulty rows, the first in the file is
-    reported.  Each check runs once: scores block by block as they are
-    parsed, pairs once over the whole file (or, when a block fails, over
-    the rows before its fault).
+    reported, a line with a byte that is not UTF-8 counting as faulty.
+    Each check runs once: scores block by block as they are parsed, pairs
+    once over the whole file (or, when a block fails, over the rows before
+    its fault).
     """
+    return read_rows(path, lambda rows, whole: _read_table(path, rows, whole))
+
+
+def _read_table(path, reader, whole: bool) -> ScoreTable:
+    """The table of ``reader``'s rows, the lines of ``path`` (all of them
+    if ``whole``), once they pass the checks of :func:`load_scores`."""
+    header = next(reader, None)
+    if header is None and not whole:
+        return None
+    if header != HEADER:
+        raise ValueError(f"{path}:1: expected header {','.join(HEADER)}, got {header}")
     names: dict = {}
     case_ids, groups, regions, scores = [], [], [], array("d")
-    with open_csv(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != HEADER:
-            raise ValueError(f"{path}:1: expected header {','.join(HEADER)}, got {header}")
-        for first, block in blocks(reader, start=2):
-            try:
-                ids, block_groups, block_regions, block_scores = _parse_block(block)
-            except ValueError:
-                lineno, error = _first_fault(path, first, block)
-                before = block[: lineno - first]
-                _check_pairs(path, case_ids + [r[0] for r in before], regions + [r[2] for r in before])
-                raise ValueError(error) from None
-            case_ids.extend(ids)
-            groups.extend(map(names.setdefault, block_groups, block_groups))
-            regions.extend(map(names.setdefault, block_regions, block_regions))
-            scores.extend(block_scores)
-    if not case_ids:
+    for first, block in blocks(reader, start=2):
+        try:
+            ids, block_groups, block_regions, block_scores = _parse_block(block)
+        except ValueError:
+            lineno, error = _first_fault(path, first, block)
+            before = block[: lineno - first]
+            _check_pairs(path, case_ids + [r[0] for r in before], regions + [r[2] for r in before])
+            raise ValueError(error) from None
+        case_ids.extend(ids)
+        groups.extend(map(names.setdefault, block_groups, block_groups))
+        regions.extend(map(names.setdefault, block_regions, block_regions))
+        scores.extend(block_scores)
+    if whole and not case_ids:
         raise ValueError(f"{path}: score file has no data rows")
     _check_pairs(path, case_ids, regions)
     return ScoreTable._of_checked(case_ids, groups, regions, scores)

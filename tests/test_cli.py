@@ -394,6 +394,35 @@ class TestTrain:
         assert capsys.readouterr().err == f"error: {out / 'dataset.csv'}:4: not UTF-8 text\n"
         assert not (out / "erm").exists()
 
+    def test_fault_before_a_non_utf8_line_of_the_dataset_named_first(self, tmp_path, capsys):
+        """Without its twin, a ``dataset.csv`` whose line 2 holds label ``x``
+        and line 3 a byte that is not UTF-8 exits 2 naming line 2."""
+        out = tmp_path / "o"
+        config = _write_config(tmp_path, out)
+        assert main(["generate", "--config", str(config)]) == 0
+        (out / "dataset.bin").unlink()
+        lines = (out / "dataset.csv").read_bytes().split(b"\n")
+        cells = lines[1].split(b",")
+        cells[2] = b"x"
+        lines[1] = b",".join(cells)
+        lines[2] = lines[2].replace(b"majority", b"major\xffity").replace(b"minority", b"minor\xffity")
+        (out / "dataset.csv").write_bytes(b"\n".join(lines))
+        assert main(["train", "--config", str(config), "--arm", "erm"]) == 2
+        assert capsys.readouterr().err == f"error: {out / 'dataset.csv'}:2: unparseable label 'x'\n"
+        assert not (out / "erm").exists()
+
+    def test_fault_before_a_non_utf8_line_of_the_test_dataset_named_first(self, tmp_path, capsys):
+        held_out_path = tmp_path / "held_out.csv"
+        held_out_path.write_bytes(
+            b"case_id,group,label,f0,f1,f2,f3\nc0,majority,x,0.0,0.0,0.0,0.0\nc\xe9,majority,0,0.0,0.0,0.0,0.0\n"
+        )
+        out = tmp_path / "run"
+        config = _write_config(tmp_path, out, test_dataset=str(held_out_path))
+        assert main(["generate", "--config", str(config)]) == 0
+        assert main(["train", "--config", str(config), "--arm", "erm"]) == 2
+        assert capsys.readouterr().err == f"error: test_dataset: {held_out_path}:2: unparseable label 'x'\n"
+        assert not (out / "erm").exists()
+
     def test_non_utf8_test_dataset_rejected_naming_the_line(self, tmp_path, capsys):
         held_out_path = tmp_path / "held_out.csv"
         held_out_path.write_bytes(b"case_id,group,label,f0,f1,f2,f3\nc\xe9,majority,0,0.0,0.0,0.0,0.0\n")
@@ -767,6 +796,12 @@ class TestReport:
         argv = ["report", str(good), "--baseline", str(bad)] if flag else ["report", str(bad)]
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {bad}:3: not UTF-8 text\n"
+
+    def test_fault_before_a_non_utf8_line_named_first(self, tmp_path, capsys):
+        path = tmp_path / "order.csv"
+        path.write_bytes(b"case_id,group,region,score\nc0,g,r,2.0\nc1,g\xff,r,0.25\n")
+        assert main(["report", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}:2: score 2.0 outside [0, 1]\n"
 
     def test_missing_scores_exit_2(self, tmp_path):
         assert main(["report", str(tmp_path / "nope.csv")]) == 2

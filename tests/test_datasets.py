@@ -342,6 +342,21 @@ class TestCsvParseErrors:
         with pytest.raises(ValueError, match=_at(path, 5) + "unparseable feature f0"):
             read_csv(path)
 
+    @pytest.mark.parametrize("line", [3, 2 * BLOCK_ROWS + 9])
+    @pytest.mark.parametrize("label", ["x", None])
+    def test_fault_before_a_non_utf8_line_wins(self, path, line, label):
+        """Label ``x`` on the line before one with a byte that is not UTF-8
+        is reported, in the first block or past it; without it the UTF-8
+        error names its line."""
+        if label is not None:
+            _corrupt(path, line - 1, 2, label)
+        raw = path.read_bytes().split(b"\n")
+        raw[line - 1] = raw[line - 1].replace(b",", b"\xff,", 1)
+        path.write_bytes(b"\n".join(raw))
+        expected = f"{line - 1}: unparseable label 'x'" if label else f"{line}: not UTF-8 text"
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{expected}$"):
+            read_csv(path)
+
     def test_non_finite_names_line(self, path):
         _corrupt(path, BLOCK_ROWS + 4, 6, "inf")
         with pytest.raises(ValueError, match=_at(path, BLOCK_ROWS + 4) + "non-finite feature value$"):

@@ -357,6 +357,37 @@ class TestLoadScoresAcrossBlocks:
         with pytest.raises(ValueError, match=f":{BLOCK_ROWS + 4}: score 1.5 outside"):
             load()
 
+    @pytest.mark.parametrize("line", [4, BLOCK_ROWS + 5])
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("cx,g,r,2.0", re.escape("score 2.0 outside [0, 1]")),
+            ("c0,g,r,0.5", "duplicate .* first seen on line 2"),
+            ("cx,g,r", "expected 4 fields, got 3"),
+            (None, None),
+        ],
+        ids=["range", "duplicate", "fields", "none"],
+    )
+    def test_fault_before_a_non_utf8_line_wins(self, tmp_path, lines, line, row, message):
+        """A faulty row on the line before one with a byte that is not
+        UTF-8 is reported, in the first block or past it; the UTF-8 error
+        is reported when the rows before it are sound."""
+        if row is not None:
+            lines[line - 3] = row
+        lines[line - 2] = "c\udcff,g,r,0.5"
+        path = tmp_path / "scores.csv"
+        path.write_bytes((HEADER + "\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
+        expected = f"{line - 1}: {message}" if row is not None else f"{line}: not UTF-8 text"
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{expected}$"):
+            load_scores(path)
+
+    def test_non_utf8_byte_in_a_quoted_field_spanning_lines(self, tmp_path):
+        """The row holding the bad byte is not checked as a row cut short."""
+        path = tmp_path / "scores.csv"
+        path.write_bytes(HEADER.encode() + b'c0,g,r,0.5\nc1,"g\nh\xff",r,0.5\n')
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:4: not UTF-8 text$"):
+            load_scores(path)
+
     def test_empty_group_in_second_block(self, tmp_path, lines):
         lines[BLOCK_ROWS] = "cx,,r,0.5"
         path, load = self._load(tmp_path, lines)
