@@ -1,6 +1,11 @@
 """File helpers: whole-file replacement, block-wise CSV reading and writing,
 and the search for a repeated key that both CSV readers make.
 
+A CSV file is read once, decoded as UTF-8 with each byte that is not UTF-8
+escaped to a lone surrogate (``errors="surrogateescape"``), so a reader
+meets such a byte in row order, as one more row fault: no UTF-8 text
+decodes to a surrogate, and a string holding one cannot be encoded.
+
 CSV rows are written as text built here, not field by field through
 ``csv.writer``: each number is its ``repr``, which is what ``csv`` writes
 for a Python int or float, each string is written as it is, and a block's
@@ -34,10 +39,6 @@ BLOCK_ROWS = 256
 # Characters that make ``csv`` quote a field (or refuse it) on some version.
 _CSV_SPECIAL = re.compile('[\0,"\r\n]')
 
-# What the ``surrogateescape`` error handler decodes a byte that is not
-# UTF-8 to; a UTF-8 decoder makes none of these of valid bytes.
-_ESCAPED = re.compile("[\udc80-\udcff]")
-
 
 @contextlib.contextmanager
 def atomic_write(path, mode: str, **kwargs):
@@ -60,41 +61,34 @@ def atomic_write(path, mode: str, **kwargs):
 
 def _first_bad_line(path):
     """The line of the first byte of the file at ``path`` that is not
-    UTF-8; ``None`` if there is none.  Lines are decoded one at a time,
-    which is decoding the whole file: no UTF-8 sequence holds a ``\\n``
-    byte."""
-    with open(path, "rb") as fh:
+    UTF-8.  Lines end at ``\\r``, ``\\n`` or ``\\r\\n``, as rows do for ``csv``
+    (text mode's default ``newline``), and are read one at a time."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
-                line.decode("utf-8")
-            except UnicodeDecodeError:
+                line.encode()
+            except UnicodeEncodeError:
                 return lineno
+
+
+def not_utf8(path, fields):
+    """The error for a row of the file at ``path`` whose ``fields`` hold a
+    byte that is not UTF-8, naming the line of that byte (the file's first
+    such byte, when rows are checked in order); ``None`` if they hold none."""
+    try:
+        "".join(fields).encode()
+    except UnicodeEncodeError:
+        return f"{path}:{_first_bad_line(path)}: not UTF-8 text"
     return None
 
 
 def read_rows(path, read):
-    """``read(rows, True)``, where ``rows`` is a ``csv.reader`` of the UTF-8
-    text file at ``path``.
-
-    A byte that is not UTF-8 stops that call.  ``read`` is then called on
-    the rows before the one holding the byte, with ``False``, so that a
-    fault it finds there is reported first; once it returns, a
-    ``ValueError`` names the file and the line of that byte.  Told that its
-    rows are not the whole file, ``read`` must not report what only a whole
-    file can show, such as a missing header or no data rows.
-    """
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            return read(csv.reader(fh), True)
-    except UnicodeDecodeError:
-        pass
-    lineno = _first_bad_line(path)
-    if lineno is None:  # the file changed while it was read
-        raise ValueError(f"{path}: not UTF-8 text")
-    # Rows before the first bad byte decode alike under any error handler.
+    """``read(rows)``, where ``rows`` is a ``csv.reader`` of the text file at
+    ``path``, decoded as UTF-8 with each byte that is not UTF-8 escaped:
+    ``read`` reports a row holding one (see :func:`not_utf8`) as it reports
+    any other faulty row, so the first fault in the file is named."""
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        read(itertools.takewhile(lambda row: not _ESCAPED.search("".join(row)), csv.reader(fh)), False)
-    raise ValueError(f"{path}:{lineno}: not UTF-8 text")
+        return read(csv.reader(fh))
 
 
 def blocks(rows, start: int):

@@ -196,10 +196,14 @@ def _check_targets(dirs=(), files=()) -> None:
 
 
 def _out_dir(args, doc: dict) -> Path:
+    """The output directory that ``--out`` or the config names, not created
+    here; a usage error if neither names one or a file is in its place."""
     out = args.out or doc.get("out")
     if not out:
         raise UsageError("no output directory: pass --out or set 'out' in the config")
-    return _make_dir(out)
+    if os.path.lexists(out) and not os.path.isdir(out):
+        raise UsageError(f"cannot use {out} as the output directory: it is a file")
+    return Path(out)
 
 
 def cmd_generate(args) -> int:
@@ -210,7 +214,7 @@ def cmd_generate(args) -> int:
     env = _env_seed()
     if env is not None:
         seed = env
-    out = _out_dir(args, doc)
+    out = _make_dir(_out_dir(args, doc))
     path = out / DATASET_FILENAME
     _check_targets(files=[path, datasets.twin_path(path)])
     dataset = datasets.generate(config, seed)
@@ -232,7 +236,7 @@ def cmd_train(args) -> int:
         raise UsageError(f"dataset {dataset_path} not found; run generate first")
     try:
         dataset = datasets.read_csv(dataset_path)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
     # The seeds share every setting that can fail a plan, so one is checked.
     try:

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._files import atomic_write, blocks, first_repeat, read_rows, write_rows
+from ._files import atomic_write, blocks, first_repeat, not_utf8, read_rows, write_rows
 
 __all__ = [
     "SyntheticConfig",
@@ -186,11 +186,12 @@ def write_csv(dataset: Dataset, path) -> bytes:
 def _parse_block(block, width: int, labels: np.ndarray, features: np.ndarray) -> None:
     """Parse a block of rows into ``labels`` and ``features``, the block's
     rows of the dataset's arrays; ``ValueError`` if any row has the wrong
-    field count, a case id or group holding ``\\r`` or an unparseable
-    value, ``OverflowError`` if a label does not fit in 64 bits."""
+    field count, a case id or group holding ``\\r`` or a byte that is not
+    UTF-8 (which cannot be encoded), or an unparseable value,
+    ``OverflowError`` if a label does not fit in 64 bits."""
     if set(map(len, block)) != {width}:
         raise ValueError("field count")
-    if "\r" in "".join(chain.from_iterable(map(itemgetter(0, 1), block))):
+    if b"\r" in "".join(chain.from_iterable(map(itemgetter(0, 1), block))).encode():
         raise ValueError("carriage return")
     labels[:] = np.fromiter(map(int, map(itemgetter(2), block)), np.int64, len(block))
     values = chain.from_iterable(map(itemgetter(slice(3, None)), block))
@@ -200,6 +201,8 @@ def _parse_block(block, width: int, labels: np.ndarray, features: np.ndarray) ->
 def _first_fault(path, first: int, block, width: int) -> str:
     """The error for the first faulty row of a block that failed to parse."""
     for lineno, row in enumerate(block, start=first):
+        if error := not_utf8(path, row):
+            return error
         if len(row) != width:
             return f"{path}:{lineno}: expected {width} fields, got {len(row)}"
         if "\r" in row[0] + row[1]:
@@ -266,26 +269,27 @@ def _parse_csv(path) -> Dataset:
     arrays, allocated once for the most rows the file can hold (memory
     never written is never resident) and cut to the rows read, and each
     distinct group name is kept as one string, so no Python object per
-    value or per group field outlives its block.  A line with a byte that
-    is not UTF-8 is reported once the lines before it have parsed.
+    value or per group field outlives its block.  A byte that is not UTF-8
+    is a parse fault of its row, so a parse fault on an earlier line is
+    reported first; the column checks of :func:`_check_columns` run only
+    once every row has parsed.
     """
     bound = _max_rows(path)
-    return read_rows(path, lambda rows, whole: _parse_rows(path, rows, whole, bound))
+    return read_rows(path, lambda rows: _parse_rows(path, rows, bound))
 
 
-def _parse_rows(path, reader, whole: bool, bound: int) -> Dataset:
-    """The dataset of ``reader``'s rows, the lines of ``path`` (all of them
-    if ``whole``), which number at most ``bound``."""
+def _parse_rows(path, reader, bound: int) -> Dataset:
+    """The dataset of ``reader``'s rows, the lines of ``path``, which number
+    at most ``bound``."""
     header = next(reader, None)
     if header is None:
-        if not whole:
-            return None
         raise ValueError(f"{path}: empty dataset file")
     if header[:3] != ["case_id", "group", "label"]:
-        raise ValueError(f"{path}: expected header case_id,group,label,f0..., got {header[:3]}")
+        expected = f"{path}: expected header case_id,group,label,f0..., got {header[:3]}"
+        raise ValueError(not_utf8(path, header) or expected)
     d = len(header) - 3
     if d < 1 or header[3:] != [f"f{j}" for j in range(d)]:
-        raise ValueError(f"{path}: malformed feature columns in header")
+        raise ValueError(not_utf8(path, header) or f"{path}: malformed feature columns in header")
     labels, features = np.empty(bound, dtype=np.int64), np.empty((bound, d))
     names: dict = {}
     case_ids, groups = [], []
@@ -315,12 +319,11 @@ def _file_sha256(path) -> bytes:
     return digest.digest()
 
 
-def write_twin(dataset: Dataset, csv_path, csv_sha256: bytes | None = None) -> None:
+def write_twin(dataset: Dataset, csv_path, csv_sha256: bytes) -> None:
     """Write the binary twin of ``csv_path``, the file :func:`write_csv`
     wrote from ``dataset``, to :func:`twin_path`; a dataset with a case id
     holding ``\\n`` gets none.  Case ids and groups are strings.
-    ``csv_sha256`` is the digest :func:`write_csv` returned; without it the
-    CSV is read back to hash it.
+    ``csv_sha256`` is the digest :func:`write_csv` returned.
 
     Layout: ``TWIN_MAGIC``, the SHA-256 of the CSV's bytes, the SHA-256 of
     the payload, then the payload: a ``<Q`` meta length, the JSON meta
@@ -350,7 +353,7 @@ def write_twin(dataset: Dataset, csv_path, csv_sha256: bytes | None = None) -> N
     for part in payload:
         digest.update(part)
     with atomic_write(twin_path(csv_path), "wb") as fh:
-        fh.write(TWIN_MAGIC + (csv_sha256 or _file_sha256(csv_path)) + digest.digest())
+        fh.write(TWIN_MAGIC + csv_sha256 + digest.digest())
         for part in payload:
             fh.write(part)
 

@@ -14,7 +14,7 @@ import math
 from array import array
 from dataclasses import dataclass
 
-from ._files import blocks, first_repeat, read_rows, write_rows
+from ._files import blocks, first_repeat, not_utf8, read_rows, write_rows
 
 __all__ = ["ScoreRow", "ScoreTable", "load_scores", "write_scores"]
 
@@ -133,6 +133,8 @@ def _first_fault(path, first: int, block) -> tuple:
     """``(line, error)`` of the first faulty row of a block that failed its
     checks."""
     for lineno, raw in enumerate(block, start=first):
+        if error := not_utf8(path, raw):
+            return lineno, error
         if len(raw) != 4:
             return lineno, f"{path}:{lineno}: expected 4 fields, got {len(raw)}"
         case_id, group, region, score_text = raw
@@ -163,13 +165,14 @@ def _check_pairs(path, case_ids, regions) -> None:
 
 def _parse_block(block) -> tuple:
     """``(case_ids, groups, regions, scores)`` columns of a block of rows;
-    ``ValueError`` if any row is faulty."""
+    ``ValueError`` if any row is faulty, or holds a byte that is not UTF-8
+    (which cannot be encoded)."""
     if set(map(len, block)) != {4}:
         raise ValueError("malformed row")
     case_ids, groups, regions, texts = zip(*block)
     if not (all(case_ids) and all(groups)):
         raise ValueError("empty case_id or group")
-    if "\r" in "".join(case_ids + groups + regions):
+    if b"\r" in "".join(case_ids + groups + regions).encode():
         raise ValueError("carriage return in case_id, group or region")
     scores = array("d", map(float, texts))
     if not (0.0 <= min(scores) and max(scores) <= 1.0) or any(map(math.isnan, scores)):
@@ -188,17 +191,16 @@ def load_scores(path) -> ScoreTable:
     once over the whole file (or, when a block fails, over the rows before
     its fault).
     """
-    return read_rows(path, lambda rows, whole: _read_table(path, rows, whole))
+    return read_rows(path, lambda rows: _read_table(path, rows))
 
 
-def _read_table(path, reader, whole: bool) -> ScoreTable:
-    """The table of ``reader``'s rows, the lines of ``path`` (all of them
-    if ``whole``), once they pass the checks of :func:`load_scores`."""
+def _read_table(path, reader) -> ScoreTable:
+    """The table of ``reader``'s rows, the lines of ``path``, once they
+    pass the checks of :func:`load_scores`."""
     header = next(reader, None)
-    if header is None and not whole:
-        return None
     if header != HEADER:
-        raise ValueError(f"{path}:1: expected header {','.join(HEADER)}, got {header}")
+        expected = f"{path}:1: expected header {','.join(HEADER)}, got {header}"
+        raise ValueError(not_utf8(path, header or ()) or expected)
     names: dict = {}
     case_ids, groups, regions, scores = [], [], [], array("d")
     for first, block in blocks(reader, start=2):
@@ -213,7 +215,7 @@ def _read_table(path, reader, whole: bool) -> ScoreTable:
         groups.extend(map(names.setdefault, block_groups, block_groups))
         regions.extend(map(names.setdefault, block_regions, block_regions))
         scores.extend(block_scores)
-    if whole and not case_ids:
+    if not case_ids:
         raise ValueError(f"{path}: score file has no data rows")
     _check_pairs(path, case_ids, regions)
     return ScoreTable._of_checked(case_ids, groups, regions, scores)

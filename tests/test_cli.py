@@ -126,6 +126,22 @@ class TestGenerate:
         assert main(["generate", "--config", str(config)]) == 2
         assert "sigma" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ([1], "config needs a 'data' object"),
+            (dict(BASE_CONFIG["data"], n_samples=0), "data: n_samples must be >= 1, got 0"),
+            (dict(BASE_CONFIG["data"], n_classes=1), "data: n_classes must be >= 2, got 1"),
+        ],
+        ids=["not-an-object", "n_samples-0", "n_classes-1"],
+    )
+    def test_bad_data_block_rejected_writing_nothing(self, tmp_path, capsys, data, message):
+        out = tmp_path / "o"
+        config = _write_config(tmp_path, out, data=data)
+        assert main(["generate", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_unknown_top_level_field(self, tmp_path, capsys):
         config = _write_config(tmp_path, tmp_path / "o", extra={"x": 1})
         assert main(["generate", "--config", str(config)]) == 2
@@ -190,6 +206,52 @@ class TestTrain:
         config = _write_config(tmp_path, tmp_path / "empty")
         assert main(["train", "--config", str(config), "--arm", "erm"]) == 2
         assert "generate first" in capsys.readouterr().err
+
+    def test_no_dataset_creates_no_output_directory(self, tmp_path, capsys):
+        config = _write_config(tmp_path, tmp_path / "new" / "deep")
+        assert main(["train", "--config", str(config), "--arm", "erm"]) == 2
+        assert "generate first" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"", "empty dataset file"),
+            (b"case_id,group,label,f1\nc0,majority,0,1.0\n", "malformed feature columns in header"),
+            (None, "Is a directory"),
+        ],
+        ids=["empty", "feature-columns", "directory"],
+    )
+    def test_unreadable_dataset_exits_2(self, tmp_path, capsys, content, message):
+        """A ``dataset.csv`` without a twin that is empty, whose header names
+        its feature columns wrongly, or that is a directory, exits 2 naming it."""
+        out = tmp_path / "o"
+        path = out / "dataset.csv"
+        if content is None:
+            path.mkdir(parents=True)
+        else:
+            out.mkdir()
+            path.write_bytes(content)
+        config = _write_config(tmp_path, out)
+        assert main(["train", "--config", str(config), "--arm", "erm"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err and message in err
+        assert not (out / "erm").exists()
+
+    def test_carriage_return_in_a_twins_case_id_rejected_before_training(self, tmp_path, capsys):
+        """A twin that matches its CSV faces the checks a parse does: line 5's
+        case id holds a ``\\r``."""
+        out = tmp_path / "o"
+        config = _write_config(tmp_path, out)
+        assert main(["generate", "--config", str(config)]) == 0
+        path = out / "dataset.csv"
+        dataset = datasets.read_csv(path)
+        dataset.case_ids[3] = "a\rb"
+        datasets.write_twin(dataset, path, datasets.write_csv(dataset, path))
+        assert datasets._read_twin(path) is not None
+        assert main(["train", "--config", str(config), "--arm", "erm"]) == 2
+        assert capsys.readouterr().err == f"error: {path}:5: carriage return in case_id or group\n"
+        assert not (out / "erm").exists()
 
     def test_writes_scores_and_checkpoints(self, tmp_path):
         out = _run_pipeline(tmp_path, "run")

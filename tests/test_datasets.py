@@ -357,6 +357,33 @@ class TestCsvParseErrors:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{expected}$"):
             read_csv(path)
 
+    @pytest.mark.parametrize("end", [b"\r", b"\r\n"], ids=["cr", "crlf"])
+    @pytest.mark.parametrize("line", [3, 2 * BLOCK_ROWS + 9])
+    def test_non_utf8_line_counted_as_csv_ends_rows(self, path, end, line):
+        """In a file whose lines end at ``\\r`` or ``\\r\\n``, the UTF-8 error
+        names the line of the bad byte, as every other fault does."""
+        raw = path.read_bytes().split(b"\n")
+        raw[line - 1] = raw[line - 1].replace(b",", b"\xff,", 1)
+        path.write_bytes(end.join(raw))
+        with pytest.raises(ValueError, match=_at(path, line) + "not UTF-8 text$"):
+            read_csv(path)
+
+    @pytest.mark.parametrize(
+        "column, text",
+        [(0, "case_0005"), (2, "-1"), (4, "inf")],
+        ids=["repeated-id", "negative-label", "non-finite-feature"],
+    )
+    def test_column_fault_before_a_non_utf8_line_not_named(self, path, column, text):
+        """The column checks run once every row has parsed, so a fault they
+        find on line 2 yields to a byte that is not UTF-8 on line 3; only a
+        parse fault is named before it."""
+        _corrupt(path, 2, column, text)
+        raw = path.read_bytes().split(b"\n")
+        raw[2] = raw[2].replace(b",", b"\xff,", 1)
+        path.write_bytes(b"\n".join(raw))
+        with pytest.raises(ValueError, match=_at(path, 3) + "not UTF-8 text$"):
+            read_csv(path)
+
     def test_non_finite_names_line(self, path):
         _corrupt(path, BLOCK_ROWS + 4, 6, "inf")
         with pytest.raises(ValueError, match=_at(path, BLOCK_ROWS + 4) + "non-finite feature value$"):
@@ -373,9 +400,9 @@ class TestCsvParseErrors:
         """Of the repeated ids z and a, z repeats first, though a sorts first."""
         ds = Dataset(np.zeros((4, 1)), np.zeros(4, dtype=np.int64), [MAJORITY] * 4, ["z", "z", "a", "a"])
         path = tmp_path / "dup.csv"
-        write_csv(ds, path)
+        digest = write_csv(ds, path)
         if twin:
-            write_twin(ds, path)
+            write_twin(ds, path, digest)
             assert datasets._read_twin(path) is not None
         with pytest.raises(ValueError, match=_at(path, 3) + "case_id 'z' repeats line 2$"):
             read_csv(path)
@@ -489,8 +516,7 @@ class TestBinaryTwin:
         """A written dataset CSV with its twin."""
         path = tmp_path / "ds.csv"
         ds = generate(SyntheticConfig(n_samples=2 * BLOCK_ROWS + 5, n_features=5, n_classes=3), 4)
-        write_csv(ds, path)
-        write_twin(ds, path)
+        write_twin(ds, path, write_csv(ds, path))
         return path
 
     @pytest.mark.parametrize(
@@ -509,8 +535,7 @@ class TestBinaryTwin:
     def test_twin_reads_as_the_csv_parses(self, tmp_path, make):
         ds = make()
         path = tmp_path / "ds.csv"
-        write_csv(ds, path)
-        write_twin(ds, path)
+        write_twin(ds, path, write_csv(ds, path))
         twin, parsed = _twin_and_parse(path)
         _assert_same(twin, parsed)
         assert twin.features.tobytes() == ds.features.tobytes()
@@ -520,7 +545,7 @@ class TestBinaryTwin:
     def test_first_digest_is_the_csvs(self, tmp_path, quoted):
         """The digest ``write_csv`` returns, which the twin stores first, is
         the SHA-256 of the CSV's bytes, also with a block that ``csv.writer``
-        writes; the twin is the one a read-back digest gives."""
+        writes."""
         ds = generate(SyntheticConfig(n_samples=2 * BLOCK_ROWS + 5, n_features=3, n_classes=3), 5)
         if quoted:
             ds.case_ids[BLOCK_ROWS + 2] = 'id,"q"'
@@ -528,10 +553,7 @@ class TestBinaryTwin:
         digest = write_csv(ds, path)
         assert digest == hashlib.sha256(path.read_bytes()).digest()
         write_twin(ds, path, digest)
-        twin = twin_path(path).read_bytes()
-        assert twin[8:40] == digest
-        write_twin(ds, path)
-        assert twin_path(path).read_bytes() == twin
+        assert twin_path(path).read_bytes()[8:40] == digest
         assert datasets._read_twin(path) is not None
 
     def test_twin_sits_beside_the_csv(self, path):
@@ -542,8 +564,7 @@ class TestBinaryTwin:
         ds = generate(SyntheticConfig(n_samples=5, n_features=2, n_classes=2), 3)
         ds.case_ids[2] = "a\nb"
         path = tmp_path / "ds.csv"
-        write_csv(ds, path)
-        write_twin(ds, path)
+        write_twin(ds, path, write_csv(ds, path))
         assert not twin_path(path).exists()
         assert read_csv(path).case_ids == ds.case_ids
 
@@ -552,8 +573,7 @@ class TestBinaryTwin:
         ds = generate(SyntheticConfig(n_samples=20, n_features=2, n_classes=2), 3)
         ds.labels[6] = -2
         path = tmp_path / "neg.csv"
-        write_csv(ds, path)
-        write_twin(ds, path)
+        write_twin(ds, path, write_csv(ds, path))
         assert datasets._read_twin(path) is not None
         with pytest.raises(ValueError, match=_at(path, 8) + "negative label -2$"):
             read_csv(path)
@@ -621,8 +641,7 @@ class TestBinaryTwin:
         and ids it returns: each column is read into its final buffer."""
         path = tmp_path / "ds.csv"
         ds = generate(SyntheticConfig(n_samples=20_000, n_features=8, n_classes=3), 2)
-        write_csv(ds, path)
-        write_twin(ds, path)
+        write_twin(ds, path, write_csv(ds, path))
         tracemalloc.start()
         try:
             back = datasets._read_twin(path)

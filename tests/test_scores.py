@@ -388,6 +388,17 @@ class TestLoadScoresAcrossBlocks:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:4: not UTF-8 text$"):
             load_scores(path)
 
+    @pytest.mark.parametrize("end", ["\r", "\r\n"], ids=["cr", "crlf"])
+    @pytest.mark.parametrize("line", [3, 2 * BLOCK_ROWS])
+    def test_non_utf8_line_counted_as_csv_ends_rows(self, tmp_path, lines, end, line):
+        """In a file whose lines end at ``\\r`` or ``\\r\\n``, the UTF-8 error
+        names the line of the bad byte, as every other fault does."""
+        lines[line - 2] = "c\udcff,g,r,0.5"
+        path = tmp_path / "scores.csv"
+        path.write_bytes(end.join([HEADER.rstrip("\n"), *lines, ""]).encode("utf-8", "surrogateescape"))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{line}: not UTF-8 text$"):
+            load_scores(path)
+
     def test_empty_group_in_second_block(self, tmp_path, lines):
         lines[BLOCK_ROWS] = "cx,,r,0.5"
         path, load = self._load(tmp_path, lines)
