@@ -4,7 +4,10 @@ and the search for a repeated key that both CSV readers make.
 A CSV file is read once, decoded as UTF-8 with each byte that is not UTF-8
 escaped to a lone surrogate (``errors="surrogateescape"``), so a reader
 meets such a byte in row order, as one more row fault: no UTF-8 text
-decodes to a surrogate, and a string holding one cannot be encoded.
+decodes to a surrogate, and a string holding one cannot be encoded.  A row
+that ``csv`` cannot read (a field longer than ``csv.field_size_limit()``,
+or a NUL byte on Python 3.10) is met the same way, as a marker row in its
+place that ends the rows.
 
 CSV rows are written as text built here, not field by field through
 ``csv.writer``: each number is its ``repr``, which is what ``csv`` writes
@@ -71,10 +74,19 @@ def _first_bad_line(path):
                 return lineno
 
 
-def not_utf8(path, fields):
-    """The error for a row of the file at ``path`` whose ``fields`` hold a
-    byte that is not UTF-8, naming the line of that byte (the file's first
-    such byte, when rows are checked in order); ``None`` if they hold none."""
+class _Unreadable(list):
+    """The row read in place of one that ``csv`` cannot read: its one field
+    is the error, naming the line."""
+
+
+def unreadable(path, fields):
+    """The error for a row of the file at ``path`` that cannot be read,
+    ``None`` for any other.  The marker of a row that ``csv`` could not
+    read holds its error; ``fields`` holding a byte that is not UTF-8 are
+    named by the line of that byte (the file's first such byte, when rows
+    are checked in order)."""
+    if isinstance(fields, _Unreadable):
+        return fields[0]
     try:
         "".join(fields).encode()
     except UnicodeEncodeError:
@@ -83,12 +95,23 @@ def not_utf8(path, fields):
 
 
 def read_rows(path, read):
-    """``read(rows)``, where ``rows`` is a ``csv.reader`` of the text file at
-    ``path``, decoded as UTF-8 with each byte that is not UTF-8 escaped:
-    ``read`` reports a row holding one (see :func:`not_utf8`) as it reports
-    any other faulty row, so the first fault in the file is named."""
+    """``read(rows)``, where ``rows`` are the rows ``csv.reader`` reads from
+    the text file at ``path``, decoded as UTF-8 with each byte that is not
+    UTF-8 escaped, up to a marker in place of the first row it cannot read:
+    ``read`` reports a row that cannot be read (see :func:`unreadable`) as
+    it reports any other faulty row, so the first fault in the file is
+    named."""
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        return read(csv.reader(fh))
+        return read(_marked(path, csv.reader(fh)))
+
+
+def _marked(path, reader):
+    """``reader``'s rows up to the first that it cannot read, which is
+    replaced by its :class:`_Unreadable` marker, the last row."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        yield _Unreadable([f"{path}:{reader.line_num}: {exc}"])
 
 
 def blocks(rows, start: int):

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._files import atomic_write, blocks, first_repeat, not_utf8, read_rows, write_rows
+from ._files import atomic_write, blocks, first_repeat, read_rows, unreadable, write_rows
 
 __all__ = [
     "SyntheticConfig",
@@ -201,7 +201,7 @@ def _parse_block(block, width: int, labels: np.ndarray, features: np.ndarray) ->
 def _first_fault(path, first: int, block, width: int) -> str:
     """The error for the first faulty row of a block that failed to parse."""
     for lineno, row in enumerate(block, start=first):
-        if error := not_utf8(path, row):
+        if error := unreadable(path, row):
             return error
         if len(row) != width:
             return f"{path}:{lineno}: expected {width} fields, got {len(row)}"
@@ -286,10 +286,10 @@ def _parse_rows(path, reader, bound: int) -> Dataset:
         raise ValueError(f"{path}: empty dataset file")
     if header[:3] != ["case_id", "group", "label"]:
         expected = f"{path}: expected header case_id,group,label,f0..., got {header[:3]}"
-        raise ValueError(not_utf8(path, header) or expected)
+        raise ValueError(unreadable(path, header) or expected)
     d = len(header) - 3
     if d < 1 or header[3:] != [f"f{j}" for j in range(d)]:
-        raise ValueError(not_utf8(path, header) or f"{path}: malformed feature columns in header")
+        raise ValueError(unreadable(path, header) or f"{path}: malformed feature columns in header")
     labels, features = np.empty(bound, dtype=np.int64), np.empty((bound, d))
     names: dict = {}
     case_ids, groups = [], []

@@ -14,7 +14,7 @@ import math
 from array import array
 from dataclasses import dataclass
 
-from ._files import blocks, first_repeat, not_utf8, read_rows, write_rows
+from ._files import blocks, first_repeat, read_rows, unreadable, write_rows
 
 __all__ = ["ScoreRow", "ScoreTable", "load_scores", "write_scores"]
 
@@ -133,7 +133,7 @@ def _first_fault(path, first: int, block) -> tuple:
     """``(line, error)`` of the first faulty row of a block that failed its
     checks."""
     for lineno, raw in enumerate(block, start=first):
-        if error := not_utf8(path, raw):
+        if error := unreadable(path, raw):
             return lineno, error
         if len(raw) != 4:
             return lineno, f"{path}:{lineno}: expected 4 fields, got {len(raw)}"
@@ -200,7 +200,7 @@ def _read_table(path, reader) -> ScoreTable:
     header = next(reader, None)
     if header != HEADER:
         expected = f"{path}:1: expected header {','.join(HEADER)}, got {header}"
-        raise ValueError(not_utf8(path, header or ()) or expected)
+        raise ValueError(unreadable(path, header or ()) or expected)
     names: dict = {}
     case_ids, groups, regions, scores = [], [], [], array("d")
     for first, block in blocks(reader, start=2):

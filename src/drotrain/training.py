@@ -41,6 +41,7 @@ import hashlib
 import json
 import struct
 from dataclasses import asdict, dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -217,12 +218,11 @@ def run_epochs(
     :func:`init_stack`) takes ``rows``, M arrays of dataset rows whose
     lengths give one step count: model k trains on the dataset's rows
     ``rows[k]``, bit for bit as on a dataset of just those rows, without
-    that dataset being built.
+    that dataset being built.  Each model maps the case positions it walks
+    or draws through its own rows.
     """
-    if rows is None:  # one model on the whole dataset, in order
-        rows, rngs, lead = [np.arange(len(dataset))], [state.rng], ()
-    else:
-        rngs, lead = state.rng, (np.arange(len(rows))[:, None],)
+    lone = rows is None  # one model on the whole dataset, in order
+    rows, rngs = ([np.arange(len(dataset))], [state.rng]) if lone else (rows, state.rng)
     sizes = [len(r) for r in rows]
     b = config.batch_size
     if b > min(sizes):
@@ -231,13 +231,13 @@ def run_epochs(
     if any(n // b != steps for n in sizes):
         raise ValueError(f"the models of a stack need one step count, got sizes {sizes} for batch_size {b}")
     X, y = dataset.features, dataset.labels
-    shape = (len(rows), b) if lead else (b,)
+    shape = (b,) if lone else (len(rows), b)
 
     if state.sampler is None:
         ones = np.ones(shape)
         # order[k] holds the dataset rows model k walks in an epoch.
         order = np.empty((len(rows), steps * b), dtype=np.intp)
-        walked = order if lead else order[0]
+        walked = order[0] if lone else order
 
         def batches():
             # Each model shuffles its own cases; the first steps * b are walked.
@@ -251,20 +251,15 @@ def run_epochs(
         tree_sizes = [tree.n for tree in trees]
         if tree_sizes != sizes:
             raise ValueError(f"sampler trees of sizes {tree_sizes} do not fit rows of sizes {sizes}")
-        # table[lead + (i,)] maps each model's case positions i to dataset rows;
-        # a shorter model's row ends in padding that no position reaches.
-        table = np.zeros((len(rows), max(sizes)), dtype=np.intp)
-        for k, r in enumerate(rows):
-            table[k, : len(r)] = r
-        table = table if lead else table[0]
-        idx, w = np.empty(shape, dtype=np.intp), np.empty(shape)
-        idx_rows, w_rows = idx.reshape(-1, b), w.reshape(-1, b)
+        at, idx, w = np.empty(shape, dtype=np.intp), np.empty(shape, dtype=np.intp), np.empty(shape)
+        at_rows, idx_rows, w_rows = at.reshape(-1, b), idx.reshape(-1, b), w.reshape(-1, b)
 
         def batches():
             for _ in range(steps):
-                for k, tree in enumerate(trees):
+                for k, (tree, r) in enumerate(zip(trees, rows)):
                     idx_rows[k], w_rows[k] = tree.draw(b)
-                yield table[lead + (idx,)], idx, w
+                    at_rows[k] = r[idx_rows[k]]
+                yield at, idx, w
 
     for _ in range(n_epochs):
         try:
@@ -409,53 +404,53 @@ def cross_validate_seeds(dataset: Dataset, hidden_dims, configs):
     for config in configs:
         if replace(config, seed=configs[0].seed) != configs[0]:
             raise ValueError(f"the configs of one run may differ only in seed, got {configs[0]} and {config}")
-    stacked = [configs] if configs[0].mode == "erm" else [[config] for config in configs]
-    return _results(dataset, hidden_dims, stacked)
+    if configs[0].mode == "dro":  # one seed's trees at a time
+        return chain.from_iterable(_cross_validations(dataset, hidden_dims, [config]) for config in configs)
+    return _cross_validations(dataset, hidden_dims, configs)
 
 
-def _results(dataset: Dataset, hidden_dims, stacked):
-    """The scored results of each list of configs in ``stacked``, trained together."""
-    for configs in stacked:
-        results = _train_together(dataset, hidden_dims, configs)
-        while results:
-            yield _scored(dataset, results.pop(0))
+def _cross_validations(dataset: Dataset, hidden_dims, configs):
+    """The result of each of ``configs``, in order, once the folds of all
+    of them have trained."""
+    plans = [plan_folds(dataset, hidden_dims, config) for config in configs]
+    folds = range(configs[0].folds)
+    fold_configs = [[replace(config, seed=_fold_seed(config.seed, f)) for f in folds] for config in configs]
+    states = _train_folds(dataset, configs, plans, fold_configs)
+    for i in range(len(configs)):
+        # Popped, so that a yielded result is held by its caller alone.
+        yield _scored(dataset, *plans.pop(0), fold_configs.pop(0), [states.pop((i, f)) for f in folds])
 
 
-def _train_together(dataset: Dataset, hidden_dims, configs) -> list:
-    """The unscored result of each of ``configs``, their folds trained in stacks."""
-    results, stacks = [], {}
-    for i, config in enumerate(configs):
-        dims, splits = plan_folds(dataset, hidden_dims, config)
-        fold_configs = [replace(config, seed=_fold_seed(config.seed, f)) for f in range(len(splits))]
-        results.append(CrossValResult(dims, [None] * len(splits), fold_configs, splits, None))
+def _train_folds(dataset: Dataset, configs, plans, fold_configs) -> dict:
+    """The trained state of fold ``f`` of each config ``i``, keyed ``(i,
+    f)``; folds whose training sizes share the step count and the sampler
+    tree shape train in lockstep as one stack."""
+    dims, config = plans[0][0], configs[0]
+    stacks, states = {}, {}
+    for i, (_, splits) in enumerate(plans):
         for f, (train_idx, _) in enumerate(splits):
             n = train_idx.size
             stacks.setdefault((n // config.batch_size, tree_shape(n)), []).append((i, f))
-    config = configs[0]
     for members in stacks.values():
-        rows = [results[i].splits[f][0] for i, f in members]
-        seeds = [results[i].fold_configs[f].seed for i, f in members]
-        state = init_stack([r.size for r in rows], dims, config, seeds)
+        rows = [plans[i][1][f][0] for i, f in members]
+        state = init_stack([r.size for r in rows], dims, config, [fold_configs[i][f].seed for i, f in members])
         try:
-            trained = run_epochs(state, dataset, config, config.epochs, rows=rows)
+            states.update(zip(members, run_epochs(state, dataset, config, config.epochs, rows=rows).unstack()))
         except TrainingDiverged as exc:
             named = [members[k] for k in exc.models]
             first = min(i for i, _ in named)
             folds = [f for i, f in named if i == first]
             raise TrainingDiverged(exc.epoch, folds, exc.reason, configs[first].seed) from None
-        for (i, f), fold_state in zip(members, trained.unstack()):
-            results[i].states[f] = fold_state
-    return results
+    return states
 
 
-def _scored(dataset: Dataset, result: CrossValResult) -> CrossValResult:
-    """``result`` with its table: each held-out case scored by its fold's model."""
+def _scored(dataset: Dataset, dims, splits, fold_configs, states) -> CrossValResult:
+    """The result of trained folds: each held-out case scored by its fold's model."""
     scores = np.empty(len(dataset))
-    for f, (_, val_idx) in enumerate(result.splits):
-        scores[val_idx] = _score_rows(result.states[f].params, dataset, val_idx)
-    held_out = np.sort(np.concatenate([val_idx for _, val_idx in result.splits]))
-    result.table = _score_table(dataset, held_out, scores[held_out])
-    return result
+    for (_, val_idx), state in zip(splits, states):
+        scores[val_idx] = _score_rows(state.params, dataset, val_idx)
+    held_out = np.sort(np.concatenate([val_idx for _, val_idx in splits]))
+    return CrossValResult(dims, states, fold_configs, splits, _score_table(dataset, held_out, scores[held_out]))
 
 
 def config_digest(config: TrainConfig, dims) -> bytes:

@@ -473,6 +473,29 @@ class TestTrain:
         assert capsys.readouterr().err == f"error: {out / 'dataset.csv'}:2: unparseable label 'x'\n"
         assert not (out / "erm").exists()
 
+    @pytest.mark.parametrize("label", [None, "x"], ids=["alone", "after-a-bad-label"])
+    def test_unreadable_dataset_row_rejected_before_training(self, tmp_path, capsys, monkeypatch, label):
+        """Without its twin, a ``dataset.csv`` whose line 3 holds a case id
+        longer than ``csv``'s field size limit exits 2 before any seed
+        trains, naming line 3, or line 2 when it holds label ``x``."""
+        out = tmp_path / "o"
+        config = _write_config(tmp_path, out)
+        assert main(["generate", "--config", str(config)]) == 0
+        (out / "dataset.bin").unlink()
+        lines = (out / "dataset.csv").read_bytes().split(b"\n")
+        if label is not None:
+            cells = lines[1].split(b",")
+            cells[2] = label.encode()
+            lines[1] = b",".join(cells)
+        lines[2] = b"c" * 200_000 + lines[2][lines[2].index(b",") :]
+        (out / "dataset.csv").write_bytes(b"\n".join(lines))
+        monkeypatch.setattr(training, "cross_validate_seeds", lambda *a: pytest.fail("a seed trained"))
+        assert main(["train", "--config", str(config), "--arm", "erm"]) == 2
+        path = out / "dataset.csv"
+        expected = f"{path}:2: unparseable label 'x'" if label else f"{path}:3: field larger than field limit"
+        assert capsys.readouterr().err.startswith(f"error: {expected}")
+        assert not (out / "erm").exists()
+
     def test_fault_before_a_non_utf8_line_of_the_test_dataset_named_first(self, tmp_path, capsys):
         held_out_path = tmp_path / "held_out.csv"
         held_out_path.write_bytes(
@@ -560,7 +583,7 @@ class TestTrain:
         else:
             path.mkdir(parents=True)
             message = f"cannot write {path}: it is a directory"
-        monkeypatch.setattr(training, "cross_validate", lambda *a: pytest.fail("a seed trained"))
+        monkeypatch.setattr(training, "cross_validate_seeds", lambda *a: pytest.fail("a seed trained"))
         assert main(["train", "--config", str(config), "--arm", arm]) == 2
         assert message in capsys.readouterr().err
         assert _scores_written(out) == []
@@ -864,6 +887,27 @@ class TestReport:
         path.write_bytes(b"case_id,group,region,score\nc0,g,r,2.0\nc1,g\xff,r,0.25\n")
         assert main(["report", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {path}:2: score 2.0 outside [0, 1]\n"
+
+    @pytest.mark.parametrize("fault", [None, "c0,g,r,2.0"], ids=["alone", "after-a-range-fault"])
+    def test_unreadable_score_row_exits_2_naming_the_first_fault(self, tmp_path, capsys, fault):
+        """A case id longer than ``csv``'s field size limit on line 3 is
+        named by its line, after a range fault on line 2."""
+        path = tmp_path / "long.csv"
+        path.write_text(f"case_id,group,region,score\n{fault or 'c0,g,r,0.5'}\n{'c' * 200_000},g,r,0.5\n", "utf-8")
+        assert main(["report", str(path)]) == 2
+        expected = f"{path}:2: score 2.0 outside [0, 1]" if fault else f"{path}:3: field larger than field limit"
+        assert capsys.readouterr().err.startswith(f"error: {expected}")
+
+    def test_nul_byte_in_scores_read_or_named_by_its_line(self, tmp_path, capsys):
+        """Python 3.11 and later read a NUL byte; on 3.10 ``csv`` cannot read
+        its row, which is named by its line."""
+        path = tmp_path / "nul.csv"
+        path.write_bytes(b"case_id,group,region,score\nc0,g,r,0.5\nc\x001,g,r,0.25\n")
+        if sys.version_info >= (3, 11):
+            assert main(["report", str(path)]) == 0
+        else:
+            assert main(["report", str(path)]) == 2
+            assert capsys.readouterr().err == f"error: {path}:3: line contains NUL\n"
 
     def test_missing_scores_exit_2(self, tmp_path):
         assert main(["report", str(tmp_path / "nope.csv")]) == 2

@@ -1,5 +1,6 @@
 """Verification tests for the stratified generator, CSV round-trip, and folds."""
 
+import csv
 import hashlib
 import math
 import os
@@ -382,6 +383,26 @@ class TestCsvParseErrors:
         raw[2] = raw[2].replace(b",", b"\xff,", 1)
         path.write_bytes(b"\n".join(raw))
         with pytest.raises(ValueError, match=_at(path, 3) + "not UTF-8 text$"):
+            read_csv(path)
+
+    @pytest.mark.parametrize("line", [3, 2 * BLOCK_ROWS + 9])
+    @pytest.mark.parametrize("label", ["x", None])
+    def test_fault_before_an_unreadable_row_wins(self, path, line, label):
+        """A case id longer than ``csv``'s field size limit makes a row that
+        ``csv`` cannot read; label ``x`` on the line before it is reported,
+        in the first block or past it, and without it the unreadable row's
+        line is named."""
+        if label is not None:
+            _corrupt(path, line - 1, 2, label)
+        _corrupt(path, line, 0, "c" * 200_000)
+        limit = f"field larger than field limit ({csv.field_size_limit()})"
+        expected = f"{line - 1}: unparseable label 'x'" if label else f"{line}: {re.escape(limit)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{expected}$"):
+            read_csv(path)
+
+    def test_unreadable_header_names_line_1(self, path):
+        _corrupt(path, 1, 3, "f" * 200_000)
+        with pytest.raises(ValueError, match=_at(path, 1) + "field larger than field limit"):
             read_csv(path)
 
     def test_non_finite_names_line(self, path):

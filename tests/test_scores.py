@@ -1,5 +1,6 @@
 """Verification tests for score-table parsing, validation, and round-trip."""
 
+import csv
 import re
 
 import numpy as np
@@ -397,6 +398,35 @@ class TestLoadScoresAcrossBlocks:
         path = tmp_path / "scores.csv"
         path.write_bytes(end.join([HEADER.rstrip("\n"), *lines, ""]).encode("utf-8", "surrogateescape"))
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{line}: not UTF-8 text$"):
+            load_scores(path)
+
+    @pytest.mark.parametrize("line", [4, BLOCK_ROWS + 5])
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("cx,g,r,2.0", re.escape("score 2.0 outside [0, 1]")),
+            ("c0,g,r,0.5", "duplicate .* first seen on line 2"),
+            (None, None),
+        ],
+        ids=["range", "duplicate", "none"],
+    )
+    def test_fault_before_an_unreadable_row_wins(self, tmp_path, lines, line, row, message):
+        """A case id longer than ``csv``'s field size limit makes a row that
+        ``csv`` cannot read; a faulty row on the line before it is reported,
+        and without one the unreadable row's line is named."""
+        if row is not None:
+            lines[line - 3] = row
+        lines[line - 2] = "c" * 200_000 + ",g,r,0.5"
+        path, load = self._load(tmp_path, lines)
+        limit = re.escape(f"field larger than field limit ({csv.field_size_limit()})")
+        expected = f"{line - 1}: {message}" if row is not None else f"{line}: {limit}"
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{expected}$"):
+            load()
+
+    def test_unreadable_header_names_line_1(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text("case_id,group,region," + "s" * 200_000 + "\nc0,g,r,0.5\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: field larger than field limit"):
             load_scores(path)
 
     def test_empty_group_in_second_block(self, tmp_path, lines):

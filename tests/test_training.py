@@ -4,6 +4,7 @@ import json
 import re
 import struct
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -501,6 +502,28 @@ class TestLockstepSeeds:
         order_bytes = m * ((n - 1) // b) * b * np.dtype(np.intp).itemsize
         peak = _traced_peak(lambda: run_epochs(state, dataset, config, 1, rows=rows))
         assert peak < 1.5 * order_bytes
+
+    def test_dro_epoch_maps_each_models_draws_through_its_own_rows(self):
+        """A 3-model DRO epoch on about 20 000 rows each traces 0.14 MB,
+        under half the 0.48 MB of its rows; with a padded (models, max n)
+        copy of the rows, gathered with one index, it traced 0.62 MB."""
+        n, m, b = 20003, 3, 64  # sizes that share one tree shape
+        rng = np.random.default_rng(0)
+        dataset = _blob_dataset(n)
+        rows = [rng.permutation(n)[: n - k] for k in range(m)]
+        config = TrainConfig(epochs=1, batch_size=b, mode="dro", seed=0)
+        state = init_stack([r.size for r in rows], (2, 4, 2), config, list(range(m)))
+        peak = _traced_peak(lambda: run_epochs(state, dataset, config, 1, rows=rows))
+        assert peak < sum(r.nbytes for r in rows) / 2
+
+    @pytest.mark.parametrize("mode", ["erm", "dro"])
+    def test_a_yielded_result_is_held_by_its_caller_alone(self, mode):
+        """Once the caller drops a result, its fold states are freed before
+        the next result is asked for."""
+        results = cross_validate_seeds(_blob_dataset(60), (4,), self._configs(mode))
+        for _ in self.SEEDS:
+            states = [weakref.ref(state) for state in next(results).states]
+            assert [ref() for ref in states] == [None] * 3
 
 
 class TestCheckpoint:
